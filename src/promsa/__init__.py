@@ -37,7 +37,6 @@ from .pairwise import (
     align_global,
     align_strings,
     build_dp_matrix,
-    score_columns,
 )
 from .profiles import (
     ProfileMatrix,
@@ -52,7 +51,6 @@ from .progressive import (
     PipelineError,
     PipelineReport,
     StageTimings,
-    merge_schedule,
     progressive_align,
 )
 from .sequences import (
@@ -105,13 +103,11 @@ __all__ = [
     "jukes_cantor",
     "leaf_order",
     "merge_log_csv",
-    "merge_schedule",
     "nj_build",
     "nj_rates",
     "pairwise_distance_matrix",
     "parse_fasta",
     "progressive_align",
-    "score_columns",
     "sp_score",
     "sp_total_cost",
     "strip_gaps",

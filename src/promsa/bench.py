@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 from .datasets import CLASSES, generate_class
 from .pairwise import ScoringScheme
-from .progressive import PipelineConfig, progressive_align
+from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
 from .profiles import TieBreak
 from .sequences import Sequence
-
-BENCH_METHODS = ("upgma", "nj")
 
 BENCH_CSV_HEADER = (
     "method,n_sequences,mean_length,distance_ms,tree_ms,merge_ms,"
@@ -38,6 +36,25 @@ class BenchRecord:
     sp_score: int
     seed: int
 
+    @classmethod
+    def from_report(
+        cls, method: str, seqs: list[Sequence], report: PipelineReport, seed: int
+    ) -> "BenchRecord":
+        """The record of one pipeline run over ``seqs``."""
+        t = report.timings
+        return cls(
+            method=method,
+            n_sequences=len(seqs),
+            mean_length=sum(len(s) for s in seqs) / len(seqs),
+            distance_ms=t.distance_ms,
+            tree_ms=t.tree_ms,
+            merge_ms=t.merge_ms,
+            total_ms=t.total_ms,
+            total_cost=report.total_cost,
+            sp_score=report.sp_score,
+            seed=seed,
+        )
+
     def csv_row(self) -> str:
         return (
             f"{self.method},{self.n_sequences},{self.mean_length:.2f},"
@@ -50,7 +67,7 @@ def run_bench(
     classes: list[str] | tuple[str, ...],
     reps: int,
     seed: int,
-    methods: tuple[str, ...] = BENCH_METHODS,
+    methods: tuple[str, ...] = GUIDE_METHODS,
     scoring: ScoringScheme | None = None,
     large_seqs: list[Sequence] | None = None,
 ) -> list[BenchRecord]:
@@ -63,7 +80,7 @@ def run_bench(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     for method in methods:
-        if method not in BENCH_METHODS:
+        if method not in GUIDE_METHODS:
             raise ValueError(f"unknown method {method!r}")
     scoring = scoring if scoring is not None else ScoringScheme()
 
@@ -77,25 +94,11 @@ def run_bench(
             seqs = generate_class(CLASSES[name], seed)
         else:
             raise ValueError(f"unknown dataset class {name!r}")
-        mean_length = sum(len(s) for s in seqs) / len(seqs)
         for method in methods:
             cfg = PipelineConfig(guide_method=method, scoring=scoring, tie=TieBreak())
             for _ in range(reps):
                 report = progressive_align(seqs, cfg)
-                records.append(
-                    BenchRecord(
-                        method=method,
-                        n_sequences=len(seqs),
-                        mean_length=mean_length,
-                        distance_ms=report.timings.distance_ms,
-                        tree_ms=report.timings.tree_ms,
-                        merge_ms=report.timings.merge_ms,
-                        total_ms=report.timings.total_ms,
-                        total_cost=report.total_cost,
-                        sp_score=report.sp_score,
-                        seed=seed,
-                    )
-                )
+                records.append(BenchRecord.from_report(method, seqs, report, seed))
     return records
 
 

@@ -11,13 +11,13 @@ import argparse
 import os
 import sys
 
-from .bench import BENCH_CSV_HEADER, BENCH_METHODS, records_to_csv, run_bench, summarize
+from .bench import BenchRecord, records_to_csv, run_bench, summarize
 from .datasets import CLASSES, generate_sequences
 from .distances import pairwise_distance_matrix
 from .guide_tree import nj_build, to_newick, upgma_build
 from .pairwise import ScoringScheme
 from .profiles import TieBreak
-from .progressive import PipelineConfig, PipelineError, progressive_align
+from .progressive import GUIDE_METHODS, PipelineConfig, PipelineError, progressive_align
 from .sequences import Msa, read_fasta_file, verify_msa_against_inputs, write_fasta
 
 
@@ -40,6 +40,13 @@ def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed (or MSA_SEED)")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="promsa",
@@ -50,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_align = sub.add_parser("align", help="align a FASTA file progressively")
     p_align.add_argument("--input", required=True, help="input FASTA of raw sequences")
-    p_align.add_argument("--guide", choices=("upgma", "nj"), default="upgma")
+    p_align.add_argument("--guide", choices=GUIDE_METHODS, default="upgma")
     _add_scoring_flags(p_align)
     _add_tie_flags(p_align)
     _add_seed_flag(p_align)
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="build a guide tree only")
     p_tree.add_argument("--input", required=True)
-    p_tree.add_argument("--method", choices=("upgma", "nj"), required=True)
+    p_tree.add_argument("--method", choices=GUIDE_METHODS, required=True)
     p_tree.add_argument("--out", required=True, help="Newick output path")
     p_tree.add_argument("--distmat", help="also dump the distance matrix as CSV")
     p_tree.add_argument("--clamp-negative", action="store_true")
@@ -96,12 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated classes: small, medium, large (default small,medium)",
     )
     p_bench.add_argument("--input", help="FASTA for the large class")
-    p_bench.add_argument("--reps", type=int, default=1, help="repetitions per cell")
+    p_bench.add_argument(
+        "--reps", type=_positive_int, default=1, help="repetitions per cell (at least 1)"
+    )
     _add_seed_flag(p_bench)
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument(
         "--methods",
-        default=",".join(BENCH_METHODS),
+        default=",".join(GUIDE_METHODS),
         help="comma-separated guide methods (default upgma,nj)",
     )
     _add_scoring_flags(p_bench)
@@ -129,16 +138,6 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _stats_csv(method: str, seqs, report, seed: int) -> str:
-    mean_length = sum(len(s) for s in seqs) / len(seqs)
-    t = report.timings
-    row = (
-        f"{method},{len(seqs)},{mean_length:.2f},{t.distance_ms},{t.tree_ms},"
-        f"{t.merge_ms},{t.total_ms},{report.total_cost:.6f},{report.sp_score},{seed}"
-    )
-    return BENCH_CSV_HEADER + "\n" + row + "\n"
-
-
 def _cmd_align(args) -> int:
     seed = _resolve_seed(args)
     if args.seed is not None and args.tie != "random":
@@ -154,7 +153,8 @@ def _cmd_align(args) -> int:
     if args.tree_out:
         _write_text(args.tree_out, to_newick(report.guide_tree, args.clamp_negative) + "\n")
     if args.stats:
-        _write_text(args.stats, _stats_csv(args.guide, seqs, report, seed))
+        record = BenchRecord.from_report(args.guide, seqs, report, seed)
+        _write_text(args.stats, records_to_csv([record]))
     if args.verify:
         verify_msa_against_inputs(report.msa, seqs)
         if args.out:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pairwise import PairwiseAlignment, ScoringScheme, align_global
-from .sequences import GAP, Sequence
+from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
 
@@ -128,15 +128,7 @@ def pairwise_distance_matrix(
     scheme before its sites are counted. Errors from the per-pair steps
     are re-raised with the offending pair named.
     """
-    if len(seqs) < 2:
-        raise ValueError("need at least two sequences")
-    ids = [s_.id for s_ in seqs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("sequence ids must be distinct")
-    for seq in seqs:
-        if not seq.is_gapless:
-            raise ValueError(f"sequence {seq.id!r} contains gaps")
-
+    ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)
     values = np.zeros((n, n))

@@ -2,17 +2,18 @@
 
 Two complementary views: a distance-style total cost (lower is better)
 and a score under the alignment's own match/mismatch/gap scheme (higher
-is better). Both iterate row pairs in a fixed order so totals are
-bit-stable.
+is better). Both are weighted sums of one tally of column pairs, taken
+from the alignment's per-column symbol counts rather than from its row
+pairs, so they cost O(width) whatever the depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .pairwise import ScoringScheme, score_columns
-from .sequences import GAP, Msa
+from .pairwise import ScoringScheme
+from .profiles import build_profile
+from .sequences import Msa
 
 
 @dataclass(frozen=True)
@@ -28,20 +29,39 @@ class CostScheme:
             raise ValueError("costs must be nonnegative")
 
 
+def _pair_counts(msa: Msa) -> tuple[int, int, int]:
+    """(match, mismatch, residue-gap) counts over all row pairs and columns.
+
+    In a column with c_x copies of each letter x and R = depth - gaps
+    residues, the matching pairs number sum C(c_x, 2), the mismatching
+    ones C(R, 2) minus those, and the residue-against-gap ones R * gaps.
+    Gap-gap pairs are not counted.
+    """
+    if msa.depth < 2:
+        return 0, 0, 0
+    match = mismatch = residue_gap = 0
+    for column in build_profile(msa).counts:
+        # Profile columns count A, C, G, T, then the gap.
+        gaps = column[-1]
+        residues = msa.depth - gaps
+        same = sum(c * (c - 1) for c in column[:-1]) // 2
+        match += same
+        mismatch += residues * (residues - 1) // 2 - same
+        residue_gap += residues * gaps
+    return match, mismatch, residue_gap
+
+
 def sp_total_cost(msa: Msa, costs: CostScheme | None = None) -> float:
-    """Total cost summed over all unordered row pairs and all columns."""
+    """Total cost summed over all unordered row pairs and all columns.
+
+    The cost is the mismatch and residue-gap pair counts times their
+    costs. With integer or dyadic costs, such as the defaults, this is
+    exact; other float costs may differ in the last bit from adding the
+    cost once per pair and column.
+    """
     costs = costs if costs is not None else CostScheme()
-    total = 0.0
-    for row_a, row_b in combinations(msa.rows, 2):
-        for x, y in zip(row_a.residues, row_b.residues):
-            if x == y:
-                if x != GAP:
-                    continue
-            elif x == GAP or y == GAP:
-                total += costs.gap_letter_cost
-            else:
-                total += costs.mismatch_cost
-    return total
+    _, mismatch, residue_gap = _pair_counts(msa)
+    return float(mismatch * costs.mismatch_cost + residue_gap * costs.gap_letter_cost)
 
 
 def sp_score(msa: Msa, s: ScoringScheme | None = None) -> int:
@@ -51,7 +71,5 @@ def sp_score(msa: Msa, s: ScoringScheme | None = None) -> int:
     by the global aligner this equals the pairwise alignment score.
     """
     s = s if s is not None else ScoringScheme()
-    return sum(
-        score_columns(row_a.residues, row_b.residues, s)
-        for row_a, row_b in combinations(msa.rows, 2)
-    )
+    match, mismatch, residue_gap = _pair_counts(msa)
+    return match * s.match_score + mismatch * s.mismatch_score + residue_gap * s.gap_penalty

@@ -34,7 +34,8 @@ class TreeNode:
 class Merge:
     """One join: cluster ids of the operands, the new cluster, and the
     selection value that chose the pair (for the closing edge of a
-    neighbor-joining tree this is the remaining pair distance)."""
+    neighbor-joining tree this is the remaining pair distance). Ids below
+    the leaf count are input taxa; larger ids name earlier joins."""
 
     left: int
     right: int

@@ -179,27 +179,6 @@ def align_global(
     return PairwiseAlignment(row_a, row_b, score)
 
 
-def score_columns(a: str, b: str, s: ScoringScheme) -> int:
-    """Column-wise score of two equal-length gapped rows.
-
-    Gap-against-gap columns contribute zero; a residue against a gap costs
-    the gap penalty.
-    """
-    if len(a) != len(b):
-        raise ValueError("rows differ in length")
-    total = 0
-    for x, y in zip(a, b):
-        if x == GAP and y == GAP:
-            continue
-        if x == GAP or y == GAP:
-            total += s.gap_penalty
-        elif x == y:
-            total += s.match_score
-        else:
-            total += s.mismatch_score
-    return total
-
-
 def _parts(seq: Sequence | str, fallback_id: str) -> tuple[str, str, str]:
     if isinstance(seq, Sequence):
         if not seq.is_gapless:

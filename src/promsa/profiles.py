@@ -105,11 +105,9 @@ def build_profile(msa: Msa) -> ProfileMatrix:
     """Count symbol occurrences per column; requires at least two rows."""
     if msa.depth < 2:
         raise ValueError("a profile needs at least two sequences")
-    columns = []
-    for index in range(msa.width):
-        col = msa.column(index)
-        columns.append(tuple(col.count(symbol) for symbol in SYMBOL_ORDER))
-    return ProfileMatrix(tuple(columns), msa.depth)
+    columns = map("".join, zip(*(row.residues for row in msa.rows)))
+    counts = tuple(tuple(col.count(symbol) for symbol in SYMBOL_ORDER) for col in columns)
+    return ProfileMatrix(counts, msa.depth)
 
 
 def consensus(

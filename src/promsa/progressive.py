@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 from .distances import DEFAULT_D_MAX, DistanceMatrix, pairwise_distance_matrix
 from .evaluate import CostScheme, sp_score, sp_total_cost
-from .guide_tree import GuideTree, Merge, nj_build, upgma_build
+from .guide_tree import GuideTree, nj_build, upgma_build
 from .pairwise import ScoringScheme, align_global
 from .profiles import TieBreak, align_profile_to_profile, align_sequence_to_profile
-from .sequences import Msa, Sequence
+from .sequences import Msa, Sequence, check_raw_inputs
 
 GUIDE_METHODS = ("upgma", "nj")
 
@@ -61,12 +61,6 @@ class PipelineReport:
     timings: StageTimings
 
 
-def merge_schedule(tree: GuideTree) -> tuple[Merge, ...]:
-    """Joins in merge-log order; operand ids below the leaf count are
-    input sequences, larger ids refer to previously built groups."""
-    return tree.merge_log
-
-
 def _ms(start_ns: int, end_ns: int) -> int:
     return (end_ns - start_ns) // 1_000_000
 
@@ -81,14 +75,7 @@ def progressive_align(
     """
     cfg = cfg if cfg is not None else PipelineConfig()
     seqs = tuple(seqs)
-    if len(seqs) < 2:
-        raise ValueError("need at least two sequences")
-    ids = [s.id for s in seqs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("sequence ids must be distinct")
-    for seq in seqs:
-        if not seq.is_gapless:
-            raise ValueError(f"sequence {seq.id!r} contains gaps")
+    ids = check_raw_inputs(seqs)
     tie = cfg.tie.fresh()
 
     start_ns = time.monotonic_ns()
@@ -107,7 +94,7 @@ def progressive_align(
 
     try:
         groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
-        for step in merge_schedule(tree):
+        for step in tree.merge_log:
             left = groups.pop(step.left)
             right = groups.pop(step.right)
             if isinstance(left, Sequence) and isinstance(right, Sequence):

@@ -109,6 +109,20 @@ def strip_gaps(seq: Sequence) -> Sequence:
     return Sequence(seq.id, residues, seq.description)
 
 
+def check_raw_inputs(seqs: list[Sequence] | tuple[Sequence, ...]) -> list[str]:
+    """Check that raw pipeline input holds at least two gapless sequences
+    with distinct ids, and return the ids in input order."""
+    if len(seqs) < 2:
+        raise ValueError("need at least two sequences")
+    ids = [seq.id for seq in seqs]
+    if len(set(ids)) != len(ids):
+        raise ValueError("sequence ids must be distinct")
+    for seq in seqs:
+        if not seq.is_gapless:
+            raise ValueError(f"sequence {seq.id!r} contains gaps")
+    return ids
+
+
 def verify_msa_against_inputs(msa: Msa, inputs: list[Sequence] | tuple[Sequence, ...]) -> None:
     """Check that each alignment row degaps to the matching input sequence.
 

@@ -1,12 +1,14 @@
-"""Shared test oracles: exhaustive alignment enumeration, a minimal Newick
-reader, and random tree/matrix generators. Everything here is independent
-of the code paths under test."""
+"""Shared test oracles: exhaustive alignment enumeration, row-pair
+sum-of-pairs loops, a minimal Newick reader, and random tree/matrix
+generators. Everything here is independent of the code paths under test."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from promsa import DistanceMatrix, Sequence
+from promsa import GAP, CostScheme, DistanceMatrix, Msa, ScoringScheme, Sequence
 
 # The seven short test sequences used throughout (degapped).
 SETUP1 = (
@@ -43,6 +45,37 @@ def brute_force_score(a: str, b: str, match: int, mismatch: int, gap: int) -> in
         return best
 
     return rec(0, 0)
+
+
+def pair_loop_sp_score(msa: Msa, s: ScoringScheme) -> int:
+    """Sum-of-pairs score by visiting every row pair and column."""
+    total = 0
+    for row_a, row_b in combinations(msa.rows, 2):
+        for x, y in zip(row_a.residues, row_b.residues):
+            if x == GAP and y == GAP:
+                continue
+            if x == GAP or y == GAP:
+                total += s.gap_penalty
+            elif x == y:
+                total += s.match_score
+            else:
+                total += s.mismatch_score
+    return total
+
+
+def pair_loop_sp_total_cost(msa: Msa, costs: CostScheme) -> float:
+    """Sum-of-pairs cost as a running sum over every row pair and column."""
+    total = 0.0
+    for row_a, row_b in combinations(msa.rows, 2):
+        for x, y in zip(row_a.residues, row_b.residues):
+            if x == y:
+                if x != GAP:
+                    continue
+            elif x == GAP or y == GAP:
+                total += costs.gap_letter_cost
+            else:
+                total += costs.mismatch_cost
+    return total
 
 
 def parse_newick(text: str):

@@ -214,6 +214,15 @@ class TestBenchCommand:
         assert all(len(costs) == 1 for costs in by_method.values())
         capsys.readouterr()
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_usage_error(self, tmp_path, capsys, reps):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--classes", "small", "--reps", reps,
+                  "--out", str(tmp_path / "b.csv")])
+        assert exc.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_large_class_requires_input(self, tmp_path, capsys):
         code = main(["bench", "--classes", "large", "--out", str(tmp_path / "b.csv")])
         assert code == 1

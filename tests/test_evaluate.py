@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_dna
+from helpers import pair_loop_sp_score, pair_loop_sp_total_cost, random_dna
 from promsa import (
     CostScheme,
     Msa,
@@ -93,3 +95,46 @@ class TestSpScore:
             a, b = random_dna(rng, 1, 12), random_dna(rng, 1, 12)
             al = align_global(a, b, s)
             assert sp_score(al.to_msa(), s) == build_dp_matrix(a, b, s).corner
+
+
+@st.composite
+def msas(draw, max_depth=8):
+    """Random alignments over ACGT_ without all-gap columns."""
+    depth = draw(st.integers(1, max_depth))
+    column = st.text("ACGT_", min_size=depth, max_size=depth).filter(
+        lambda col: col.strip("_")
+    )
+    columns = draw(st.lists(column, min_size=1, max_size=12))
+    return msa_of(*("".join(col[i] for col in columns) for i in range(depth)))
+
+
+DYADIC_COSTS = st.integers(0, 40).map(lambda quarters: quarters / 4)
+
+
+class TestPairLoopOracle:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(msas(), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
+    def test_sp_score_equals_pair_loop(self, msa, match, mismatch, gap):
+        s = ScoringScheme(match, mismatch, gap)
+        assert sp_score(msa, s) == pair_loop_sp_score(msa, s)
+
+    @given(msas(), DYADIC_COSTS, DYADIC_COSTS)
+    def test_dyadic_total_cost_equals_pair_loop(self, msa, mismatch_cost, gap_letter_cost):
+        costs = CostScheme(mismatch_cost, gap_letter_cost)
+        assert sp_total_cost(msa, costs) == pair_loop_sp_total_cost(msa, costs)
+
+    @given(
+        msas(),
+        st.floats(0, 10, allow_subnormal=False),
+        st.floats(0, 10, allow_subnormal=False),
+    )
+    def test_float_total_cost_matches_pair_loop(self, msa, mismatch_cost, gap_letter_cost):
+        # Count-times-cost and a running sum round differently in the last bits.
+        costs = CostScheme(mismatch_cost, gap_letter_cost)
+        expected = pair_loop_sp_total_cost(msa, costs)
+        assert sp_total_cost(msa, costs) == pytest.approx(expected, rel=1e-12)
+
+    @given(msas(max_depth=1))
+    def test_single_row_scores_zero(self, msa):
+        assert sp_score(msa) == 0
+        assert sp_total_cost(msa) == 0.0

@@ -11,7 +11,6 @@ from promsa import (
     Sequence,
     TieBreak,
     align_global,
-    merge_schedule,
     nj_build,
     progressive_align,
     upgma_build,
@@ -45,14 +44,14 @@ class TestMergeSchedule:
             ]
         )
         tree = nj_build(DistanceMatrix(("a", "b", "c", "d"), values))
-        schedule = merge_schedule(tree)
-        assert [(s.left, s.right, s.new) for s in schedule] == [
+        log = tree.merge_log
+        assert [(m.left, m.right, m.new) for m in log] == [
             (0, 1, 4),
             (2, 3, 5),
             (4, 5, 6),
         ]
         # one join per internal node
-        assert len(schedule) == len(tree.nodes) - tree.n_leaves
+        assert len(log) == len(tree.nodes) - tree.n_leaves
 
     def test_two_leaf_schedule(self):
         import numpy as np
@@ -62,7 +61,7 @@ class TestMergeSchedule:
         tree = upgma_build(
             DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         )
-        assert len(merge_schedule(tree)) == 1
+        assert len(tree.merge_log) == 1
 
 
 class TestProgressiveAlign:
