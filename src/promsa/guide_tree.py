@@ -4,8 +4,9 @@ Both builders work on a full symmetric distance table with a liveness list
 instead of physically deleting rows, and record every join in a merge log
 that downstream progressive merging replays. Cluster ids are assigned so
 that leaves take 0..n-1 in taxa order and each new cluster receives the
-next free index; minimum selection breaks ties toward the smallest (i, j)
-index pair, which makes both builders deterministic.
+next free index. Each join is the first minimum, in row-major order, of the
+upper triangle of the live submatrix, so ties go to the smallest (i, j)
+index pair and both builders are deterministic.
 """
 
 from __future__ import annotations
@@ -76,19 +77,17 @@ def _working_table(m: DistanceMatrix, total: int) -> np.ndarray:
     return table
 
 
-def _argmin_pair(live: list[int], key) -> tuple[int, int, float, int]:
-    """Scan live index pairs in ascending order; first strict minimum wins."""
-    best_i = best_j = -1
-    best = None
-    scanned = 0
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            scanned += 1
-            i, j = live[a], live[b]
-            value = float(key(i, j))
-            if best is None or value < best:
-                best, best_i, best_j = value, i, j
-    return best_i, best_j, best, scanned
+def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float, int]:
+    """First minimum, in row-major order, of the strict upper triangle of
+    ``scores`` (the k x k table over ``live``): its two live ids, its value
+    and the k(k-1)/2 pairs covered. The builders keep ``live`` ascending,
+    since removals keep its order and each new id is the largest so far, so
+    among tied minima this is the smallest (i, j) pair."""
+    k = len(live)
+    rows, cols = np.triu_indices(k, 1)
+    values = scores[rows, cols]
+    best = int(np.argmin(values))
+    return live[rows[best]], live[cols[best]], float(values[best]), k * (k - 1) // 2
 
 
 def upgma_build(m: DistanceMatrix) -> GuideTree:
@@ -112,28 +111,23 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     scanned_total = 0
 
     for new in range(n, total):
-        i, j, dmin, scanned = _argmin_pair(live, lambda i, j: table[i, j])
+        i, j, dmin, scanned = _closest_pair(table[np.ix_(live, live)], live)
         scanned_total += scanned
         if not math.isfinite(dmin):
             raise ValueError("distance table contains non-finite values")
         h = dmin / 2.0
         left_len = h - heights[i]
         right_len = h - heights[j]
-        nodes.append(
-            TreeNode(
-                new,
-                children=((nodes[i], left_len), (nodes[j], right_len)),
-                height=h,
-            )
-        )
+        children = ((nodes[i], left_len), (nodes[j], right_len))
+        nodes.append(TreeNode(new, children=children, height=h))
         si, sj = sizes[i], sizes[j]
-        for l in live:
-            if l != i and l != j:
-                d = (si * table[i, l] + sj * table[j, l]) / (si + sj)
-                table[new, l] = table[l, new] = d
+        live.remove(i)
+        live.remove(j)
+        d = (si * table[i, live] + sj * table[j, live]) / (si + sj)
+        table[new, live] = table[live, new] = d
+        live.append(new)
         sizes[new] = si + sj
         heights[new] = h
-        live = [l for l in live if l != i and l != j] + [new]
         log.append(Merge(i, j, new, dmin, left_len, right_len))
 
     return GuideTree(
@@ -183,17 +177,19 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     if n < 2:
         raise ValueError("need at least two taxa")
     ws = NjWorkspace.from_matrix(m)
-    table = ws.table
+    table, live = ws.table, ws.live
     nodes: list[TreeNode] = [TreeNode(i, name=m.taxa[i]) for i in range(n)]
     log: list[Merge] = []
     scanned_total = 0
     iterations = 0
     new = n
 
-    while len(ws.live) > 2:
+    while len(live) > 2:
         iterations += 1
         u = nj_rates(ws)
-        i, j, crit, scanned = _argmin_pair(ws.live, lambda i, j: table[i, j] - u[i] - u[j])
+        rates = np.fromiter(u.values(), float, len(u))  # keyed in live order
+        scores = table[np.ix_(live, live)] - rates[:, None] - rates[None, :]
+        i, j, crit, scanned = _closest_pair(scores, live)
         scanned_total += scanned
         if not math.isfinite(crit):
             raise ValueError("distance table contains non-finite values")
@@ -201,15 +197,14 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         left_len = 0.5 * (dij + u[i] - u[j])
         right_len = 0.5 * (dij + u[j] - u[i])
         nodes.append(TreeNode(new, children=((nodes[i], left_len), (nodes[j], right_len))))
-        for l in ws.live:
-            if l != i and l != j:
-                d = (table[i, l] + table[j, l] - dij) / 2.0
-                table[new, l] = table[l, new] = d
-        ws.live = [l for l in ws.live if l != i and l != j] + [new]
+        live.remove(i)
+        live.remove(j)
+        table[new, live] = table[live, new] = (table[i, live] + table[j, live] - dij) / 2.0
+        live.append(new)
         log.append(Merge(i, j, new, crit, left_len, right_len))
         new += 1
 
-    p, q = ws.live
+    p, q = live
     final = float(table[p, q])
     nodes.append(TreeNode(new, children=((nodes[p], final / 2.0), (nodes[q], final / 2.0))))
     log.append(Merge(p, q, new, final, final / 2.0, final / 2.0, closing=True))

@@ -32,7 +32,13 @@ class ScoringScheme:
         if self.match_score < self.mismatch_score:
             warnings.warn(
                 "match_score is below mismatch_score; alignments will favor mismatches",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
+            )
+        if 2 * self.gap_penalty > self.mismatch_score:
+            warnings.warn(
+                f"gap_penalty {self.gap_penalty}: two gaps outscore a mismatch, so a pair "
+                "can align with no gap-free columns and fail the distance stage",
+                stacklevel=3,
             )
 
 

@@ -194,15 +194,14 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
                 up = ch.upper()
                 if up in ALPHABET:
                     body.append(up)
-                elif up in "-_":
-                    if not allow_gaps:
-                        raise FastaError(
-                            f"gap character {ch!r} in raw sequence", lineno, offset + col
-                        )
+                elif up in "-_" and allow_gaps:
                     body.append(GAP)
                 else:
-                    raise FastaError(f"illegal character {ch!r}", lineno, offset + col)
-        offset += len(raw_line)
+                    at = offset + len(line[:col].encode())  # byte offset, not characters
+                    if up in "-_":
+                        raise FastaError(f"gap character {ch!r} in raw sequence", lineno, at)
+                    raise FastaError(f"illegal character {ch!r}", lineno, at)
+        offset += len(raw_line.encode())
 
     flush()
     if not records:

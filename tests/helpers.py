@@ -1,6 +1,7 @@
 """Shared test oracles: exhaustive alignment enumeration, row-pair
-sum-of-pairs loops, a minimal Newick reader, and random tree/matrix
-generators. Everything here is independent of the code paths under test."""
+sum-of-pairs loops, the pair-by-pair guide-tree join scan, a minimal Newick
+reader, and random tree/matrix generators. Everything here is independent
+of the code paths under test."""
 
 from __future__ import annotations
 
@@ -76,6 +77,21 @@ def pair_loop_sp_total_cost(msa: Msa, costs: CostScheme) -> float:
             else:
                 total += costs.mismatch_cost
     return total
+
+
+def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float, int]:
+    """Scan live index pairs in ascending order; first strict minimum wins."""
+    best_i = best_j = -1
+    best = None
+    scanned = 0
+    for a in range(len(live)):
+        for b in range(a + 1, len(live)):
+            scanned += 1
+            i, j = live[a], live[b]
+            value = float(key(i, j))
+            if best is None or value < best:
+                best, best_i, best_j = value, i, j
+    return best_i, best_j, best, scanned
 
 
 def parse_newick(text: str):

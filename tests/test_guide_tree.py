@@ -1,9 +1,18 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import newick_leaf_sets, parse_newick, random_additive, random_ultrametric
+from helpers import (
+    newick_leaf_sets,
+    parse_newick,
+    random_additive,
+    random_ultrametric,
+    scan_argmin_pair,
+)
 from promsa import (
     DistanceMatrix,
     NjWorkspace,
@@ -15,7 +24,7 @@ from promsa import (
     tree_distances,
     upgma_build,
 )
-from promsa.guide_tree import leaf_depths
+from promsa.guide_tree import _closest_pair, leaf_depths
 
 # Additive distances realized by the tree ((a:1,b:2),(c:3,d:4)) with an
 # internal edge of length 5.
@@ -271,3 +280,77 @@ class TestNewickAndOrder:
         assert lines[0] == "iteration,left,right,criterion"
         assert lines[1] == "1,0,1,2.000000"
         assert lines[2] == "2,2,3,4.000000"
+
+
+@st.composite
+def live_tables(draw):
+    """A symmetric table with entries 0-3 (ties everywhere), an ascending
+    live subset of 2-12 ids, and a float rate per id."""
+    size = draw(st.integers(2, 14))
+    entries = draw(st.lists(st.integers(0, 3), min_size=size * size, max_size=size * size))
+    upper = np.triu(np.array(entries, dtype=float).reshape(size, size), 1)
+    live = sorted(draw(st.sets(st.integers(0, size - 1), min_size=2, max_size=12)))
+    rate = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from([0.0, 0.5, 1.0])
+    rates = np.array(draw(st.lists(rate, min_size=size, max_size=size)))
+    return upper + upper.T, live, rates
+
+
+class TestClosestPair:
+    @given(live_tables())
+    def test_matches_scan_on_plain_table(self, case):
+        table, live, _ = case
+        expected = scan_argmin_pair(live, lambda i, j: table[i, j])
+        assert _closest_pair(table[np.ix_(live, live)], live) == expected
+
+    @given(live_tables())
+    def test_matches_scan_on_nj_criterion(self, case):
+        table, live, u = case
+        expected = scan_argmin_pair(live, lambda i, j: table[i, j] - u[i] - u[j])
+        sub_u = u[live]
+        scores = table[np.ix_(live, live)] - sub_u[:, None] - sub_u[None, :]
+        assert _closest_pair(scores, live) == expected
+
+
+def pinned_matrix(n: int) -> DistanceMatrix:
+    """Seeded distances: integers 1-3 up to 12 taxa, so joins tie often;
+    uniform floats in [0, 1) at 100 taxa."""
+    rng = np.random.default_rng(n)
+    values = rng.integers(1, 4, size=(n, n)) if n <= 12 else rng.uniform(0.0, 1.0, size=(n, n))
+    upper = np.triu(values.astype(float), 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
+
+
+# sha256 of repr(merge_log) + Newick; repr round-trips every float exactly.
+PINNED_BUILDS = {
+    ("upgma", 2): "2748920d9ae9a47e9d60601a5c08e3aba2c057d95cf760afe24fbc3f54547baa",
+    ("nj", 2): "68c58b02e80fc0e6905a71cc0dc4b899186f8e5e413d42252ce7a831f64bf54f",
+    ("upgma", 3): "54d5d92bc35d02158c7d22d23f2a106bbf0f1e9104e2013c2860487814c51813",
+    ("nj", 3): "bdba2152bffd1862930de3f55be4ccb36aeb7f2e25f8af85848b981fe6a873dd",
+    ("upgma", 4): "6457b1dddbe3e3799f4e662dbf19801af384cfa20e23a93d3b95b2359d87bba8",
+    ("nj", 4): "2ead971cc092d38507dbb04045875bca5694b59e364c2598c9a9dd1e3c672e7f",
+    ("upgma", 5): "c9ea0a35263ff60d5f1a18e9eb9a518c7ba165995fd6128bf8fd36d675033635",
+    ("nj", 5): "714ef88de812687a1a128b7160402f524effc6e294b7c2d07e8d959f674c51a7",
+    ("upgma", 6): "88a81fcab1cf0f95099c5e12b65da5758a764b2f3e2d5e10c77716d69844ea60",
+    ("nj", 6): "670edf1de924c2a80d12afebe11a1ca207c499a1120fa9cb7454f014410c2a72",
+    ("upgma", 7): "ea1d1f6143571645f8475fe7fdac714861aa2e822b1d92bfeab122379d61e787",
+    ("nj", 7): "2d108f493a1bc2086c9dea8c858a39ca455b1bef3380eda526df5c47b14c28d1",
+    ("upgma", 8): "6ef98ba256c2f20fad4d997e4ca0e82bff4a7e47eee51a66ddb75eb09a05f06b",
+    ("nj", 8): "ade211afc9f038480cb6f47b700c3c3a316c72f64978e8db906fe7d56d7defb2",
+    ("upgma", 9): "60d768eda8b6fec6289e5e54472f3fbdb1db6ca1a549b8f8e580ee264401428e",
+    ("nj", 9): "85d028352629fa928fdf82ac7e07ae9664be3aee402d9fef20c430862ac990a6",
+    ("upgma", 10): "d093519480f3e19e7c1956884f0284f1f2706c78b4577223b57e05e1cbf5dfde",
+    ("nj", 10): "3d8735c13fa1b943fdd2853dc081772c971a5310eec7d5fb1c9165beccd1f0f9",
+    ("upgma", 11): "bd5bcaba7efc491284869eb2f7706e7f75416ad7ae22ebc4e45306eb7cc3d921",
+    ("nj", 11): "ef079897becb74bd60567b5415297b0a64db2516d81ad6520a50fc3c537ddde9",
+    ("upgma", 12): "b2f7e621efffd941aa7528baea2b836213923043ebffe90307cf087e289dd950",
+    ("nj", 12): "9aac478b7549822a95d97d534ecd214f824e78a627f4efcc4ced26fb97a0b615",
+    ("upgma", 100): "93067e2e6c4e6dd23e6d42049b9a51c5c5d3053429429ceace50c1f81ee8306b",
+    ("nj", 100): "0f9ba4d96dc0d706fc982fb42cb7c2abbcd33026167993a4c641e7972db8223a",
+}
+
+
+@pytest.mark.parametrize(("method", "n"), list(PINNED_BUILDS))
+def test_build_matches_pinned_hash(method, n):
+    tree = {"upgma": upgma_build, "nj": nj_build}[method](pinned_matrix(n))
+    digest = hashlib.sha256((repr(tree.merge_log) + to_newick(tree)).encode()).hexdigest()
+    assert digest == PINNED_BUILDS[(method, n)]

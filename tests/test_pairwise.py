@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -28,12 +29,19 @@ FIG2_CELLS = (
 
 class TestScoringScheme:
     def test_defaults(self):
-        s = ScoringScheme()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = ScoringScheme()
         assert (s.match_score, s.mismatch_score, s.gap_penalty) == (3, 0, -1)
 
     def test_warns_when_match_below_mismatch(self):
         with pytest.warns(UserWarning):
             ScoringScheme(0, 3, -1)
+
+    @pytest.mark.parametrize("scores", [(3, 0, 1), (0, -5, 0)])
+    def test_warns_when_two_gaps_beat_a_mismatch(self, scores):
+        with pytest.warns(UserWarning, match=rf"gap_penalty {scores[2]}\b.*no gap-free columns"):
+            ScoringScheme(*scores)
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):

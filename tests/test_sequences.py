@@ -68,6 +68,20 @@ class TestParseFasta:
             assert err.line == 2
             assert err.offset == 5  # 0-based offset of the X byte
 
+    @pytest.mark.parametrize("encode", [False, True])
+    @pytest.mark.parametrize(
+        ("text", "offset"),
+        [
+            (">s1 café\nACGX\n", 13),  # "é" is two bytes: X is character 12, byte 13
+            (">s1\nAC\u00a0-T\n", 8),  # a two-byte space earlier on the same line
+        ],
+        ids=["earlier-line", "same-line"],
+    )
+    def test_offset_counts_utf8_bytes(self, text, offset, encode):
+        with pytest.raises(FastaError) as info:
+            parse_fasta(text.encode() if encode else text)
+        assert (info.value.line, info.value.offset) == (2, offset)
+
     def test_empty_input(self):
         with pytest.raises(FastaError, match="empty"):
             parse_fasta("")
