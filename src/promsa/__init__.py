@@ -21,7 +21,6 @@ from .guide_tree import (
     GuideTree,
     Merge,
     NjWorkspace,
-    TreeNode,
     leaf_order,
     merge_log_csv,
     nj_build,
@@ -90,7 +89,6 @@ __all__ = [
     "Sequence",
     "StageTimings",
     "TieBreak",
-    "TreeNode",
     "align_global",
     "align_profile_to_profile",
     "align_sequence_to_profile",

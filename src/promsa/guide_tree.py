@@ -2,9 +2,10 @@
 
 Both builders work on a full symmetric distance table with a liveness list
 instead of physically deleting rows, and record every join in a merge log
-that downstream progressive merging replays. Cluster ids are assigned so
-that leaves take 0..n-1 in taxa order and each new cluster receives the
-next free index. Each join is the first minimum, in row-major order, of the
+that downstream progressive merging replays. The merge log is the tree:
+serialization and path lengths loop over it, so depth sets no recursion
+limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
+and each new cluster receives the next free index. Each join is the first minimum, in row-major order, of the
 upper triangle of the live submatrix, so ties go to the smallest (i, j)
 index pair and both builders are deterministic.
 """
@@ -17,18 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import DistanceMatrix
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    id: int
-    name: str | None = None
-    children: tuple[tuple["TreeNode", float], ...] = ()
-    height: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
@@ -57,14 +46,9 @@ class BuildStats:
 class GuideTree:
     method: str
     taxa: tuple[str, ...]
-    nodes: tuple[TreeNode, ...]
     merge_log: tuple[Merge, ...]
     stats: BuildStats
     final_edge_length: float | None = None
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[-1]
 
     @property
     def n_leaves(self) -> int:
@@ -106,7 +90,6 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     live = list(range(n))
     sizes = [1] * n + [0] * (n - 1)
     heights = [0.0] * total
-    nodes: list[TreeNode] = [TreeNode(i, name=m.taxa[i], height=0.0) for i in range(n)]
     log: list[Merge] = []
     scanned_total = 0
 
@@ -118,8 +101,6 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
         h = dmin / 2.0
         left_len = h - heights[i]
         right_len = h - heights[j]
-        children = ((nodes[i], left_len), (nodes[j], right_len))
-        nodes.append(TreeNode(new, children=children, height=h))
         si, sj = sizes[i], sizes[j]
         live.remove(i)
         live.remove(j)
@@ -133,7 +114,6 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     return GuideTree(
         method="upgma",
         taxa=m.taxa,
-        nodes=tuple(nodes),
         merge_log=tuple(log),
         stats=BuildStats(iterations=n - 1, pairs_scanned=scanned_total),
     )
@@ -152,15 +132,18 @@ class NjWorkspace:
         return cls(_working_table(m, 2 * m.size - 1), list(range(m.size)))
 
 
+def _rates(sub: np.ndarray) -> np.ndarray:
+    """Row sums of the k x k live submatrix divided by k - 2, in live order."""
+    k = len(sub)
+    if k < 3:
+        raise ValueError("rates are defined only for three or more clusters")
+    return sub.sum(axis=1) / (k - 2)
+
+
 def nj_rates(ws: NjWorkspace) -> dict[int, float]:
     """Per-cluster rate u_i = sum of distances to the other live clusters,
     divided by (live count - 2). Recomputed fresh each iteration."""
-    k = len(ws.live)
-    if k < 3:
-        raise ValueError("rates are defined only for three or more clusters")
-    sub = ws.table[np.ix_(ws.live, ws.live)]
-    sums = sub.sum(axis=1)
-    return {i: float(sums[a]) / (k - 2) for a, i in enumerate(ws.live)}
+    return dict(zip(ws.live, _rates(ws.table[np.ix_(ws.live, ws.live)]).tolist()))
 
 
 def nj_build(m: DistanceMatrix) -> GuideTree:
@@ -178,7 +161,6 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         raise ValueError("need at least two taxa")
     ws = NjWorkspace.from_matrix(m)
     table, live = ws.table, ws.live
-    nodes: list[TreeNode] = [TreeNode(i, name=m.taxa[i]) for i in range(n)]
     log: list[Merge] = []
     scanned_total = 0
     iterations = 0
@@ -186,17 +168,16 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
 
     while len(live) > 2:
         iterations += 1
-        u = nj_rates(ws)
-        rates = np.fromiter(u.values(), float, len(u))  # keyed in live order
-        scores = table[np.ix_(live, live)] - rates[:, None] - rates[None, :]
-        i, j, crit, scanned = _closest_pair(scores, live)
+        sub = table[np.ix_(live, live)]
+        rates = _rates(sub)
+        i, j, crit, scanned = _closest_pair(sub - rates[:, None] - rates[None, :], live)
         scanned_total += scanned
         if not math.isfinite(crit):
             raise ValueError("distance table contains non-finite values")
+        u_i, u_j = float(rates[live.index(i)]), float(rates[live.index(j)])
         dij = float(table[i, j])
-        left_len = 0.5 * (dij + u[i] - u[j])
-        right_len = 0.5 * (dij + u[j] - u[i])
-        nodes.append(TreeNode(new, children=((nodes[i], left_len), (nodes[j], right_len))))
+        left_len = 0.5 * (dij + u_i - u_j)
+        right_len = 0.5 * (dij + u_j - u_i)
         live.remove(i)
         live.remove(j)
         table[new, live] = table[live, new] = (table[i, live] + table[j, live] - dij) / 2.0
@@ -206,13 +187,11 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
 
     p, q = live
     final = float(table[p, q])
-    nodes.append(TreeNode(new, children=((nodes[p], final / 2.0), (nodes[q], final / 2.0))))
     log.append(Merge(p, q, new, final, final / 2.0, final / 2.0, closing=True))
 
     return GuideTree(
         method="nj",
         taxa=m.taxa,
-        nodes=tuple(nodes),
         merge_log=tuple(log),
         stats=BuildStats(iterations=iterations, pairs_scanned=scanned_total),
         final_edge_length=final,
@@ -231,13 +210,11 @@ def to_newick(tree: GuideTree, clamp_negative: bool = False) -> str:
             length = 0.0
         return f"{length:.6f}"
 
-    def render(node: TreeNode) -> str:
-        if node.is_leaf:
-            return node.name
-        inner = ",".join(f"{render(child)}:{fmt(length)}" for child, length in node.children)
-        return f"({inner})"
-
-    return render(tree.root) + ";"
+    pending: dict[int, str] = dict(enumerate(tree.taxa))
+    for m in tree.merge_log:
+        left, right = pending.pop(m.left), pending.pop(m.right)
+        pending[m.new] = f"({left}:{fmt(m.left_length)},{right}:{fmt(m.right_length)})"
+    return pending[tree.merge_log[-1].new] + ";"
 
 
 def leaf_order(tree: GuideTree) -> list[str]:
@@ -254,40 +231,31 @@ def leaf_order(tree: GuideTree) -> list[str]:
 
 
 def tree_distances(tree: GuideTree) -> dict[frozenset, float]:
-    """Leaf-to-leaf path lengths through the tree, keyed by taxa-name pairs."""
+    """Leaf-to-leaf path lengths through the tree, keyed by taxa-name pairs;
+    each pending cluster holds its leaves and their depths below it."""
     out: dict[frozenset, float] = {}
-
-    def walk(node: TreeNode) -> list[tuple[str, float]]:
-        if node.is_leaf:
-            return [(node.name, 0.0)]
-        groups = [
-            [(name, depth + length) for name, depth in walk(child)]
-            for child, length in node.children
-        ]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for name_a, depth_a in groups[a]:
-                    for name_b, depth_b in groups[b]:
-                        out[frozenset((name_a, name_b))] = depth_a + depth_b
-        return [entry for group in groups for entry in group]
-
-    walk(tree.root)
+    below: dict[int, list[tuple[str, float]]] = {
+        i: [(name, 0.0)] for i, name in enumerate(tree.taxa)
+    }
+    for m in tree.merge_log:
+        left = [(name, depth + m.left_length) for name, depth in below.pop(m.left)]
+        right = [(name, depth + m.right_length) for name, depth in below.pop(m.right)]
+        for name_a, depth_a in left:
+            for name_b, depth_b in right:
+                out[frozenset((name_a, name_b))] = depth_a + depth_b
+        below[m.new] = left + right
     return out
 
 
 def leaf_depths(tree: GuideTree) -> dict[str, float]:
-    """Root-to-leaf path lengths (equal for an ultrametric tree)."""
-    depths: dict[str, float] = {}
-
-    def walk(node: TreeNode, depth: float):
-        if node.is_leaf:
-            depths[node.name] = depth
-            return
-        for child, length in node.children:
-            walk(child, depth + length)
-
-    walk(tree.root, 0.0)
-    return depths
+    """Root-to-leaf path lengths (equal for an ultrametric tree), summed from
+    the root down by walking the merge log backwards."""
+    depth = {tree.merge_log[-1].new: 0.0}
+    for m in reversed(tree.merge_log):
+        above = depth.pop(m.new)
+        depth[m.left] = above + m.left_length
+        depth[m.right] = above + m.right_length
+    return {name: depth[i] for i, name in enumerate(tree.taxa)}
 
 
 def merge_log_csv(tree: GuideTree) -> str:

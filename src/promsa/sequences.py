@@ -148,11 +148,15 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
     the internal gap symbol. CRLF input is accepted.
 
     Raises FastaError on empty input, a record with an empty body, an
-    illegal character (reported with line and byte offset), or a
-    duplicate identifier.
+    illegal character or bytes that are not UTF-8 (both reported with line
+    and byte offset), or a duplicate identifier.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = text.count(b"\n", 0, err.start) + 1
+            raise FastaError("input is not valid UTF-8", line, err.start) from None
     if not text.strip():
         raise FastaError("empty FASTA input")
 
@@ -227,7 +231,3 @@ def read_fasta_file(path, allow_gaps: bool = False) -> list[Sequence]:
     with open(path, "rb") as handle:
         return parse_fasta(handle.read(), allow_gaps=allow_gaps)
 
-
-def write_fasta_file(path, seqs) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(write_fasta(seqs))

@@ -1,6 +1,7 @@
 """Shared test oracles: exhaustive alignment enumeration, row-pair
-sum-of-pairs loops, the pair-by-pair guide-tree join scan, a minimal Newick
-reader, and random tree/matrix generators. Everything here is independent
+sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
+guide-tree walks, a minimal Newick reader, and random tree/matrix
+generators. Everything here is independent
 of the code paths under test."""
 
 from __future__ import annotations
@@ -92,6 +93,68 @@ def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float, int]:
             if best is None or value < best:
                 best, best_i, best_j = value, i, j
     return best_i, best_j, best, scanned
+
+
+def _merge_children(tree) -> dict:
+    """Each internal cluster's ((child, branch length), ...) from the merge log."""
+    return {m.new: ((m.left, m.left_length), (m.right, m.right_length)) for m in tree.merge_log}
+
+
+def recursive_newick(tree, clamp_negative: bool = False) -> str:
+    """Newick by recursion from the root, children in merge order."""
+    children = _merge_children(tree)
+
+    def fmt(length: float) -> str:
+        if clamp_negative and length < 0:
+            length = 0.0
+        return f"{length:.6f}"
+
+    def render(node: int) -> str:
+        if node not in children:
+            return tree.taxa[node]
+        inner = ",".join(f"{render(child)}:{fmt(length)}" for child, length in children[node])
+        return f"({inner})"
+
+    return render(tree.merge_log[-1].new) + ";"
+
+
+def recursive_tree_distances(tree) -> dict[frozenset, float]:
+    """Leaf-to-leaf path lengths by a recursive post-order walk."""
+    children = _merge_children(tree)
+    out: dict[frozenset, float] = {}
+
+    def walk(node: int) -> list[tuple[str, float]]:
+        if node not in children:
+            return [(tree.taxa[node], 0.0)]
+        groups = [
+            [(name, depth + length) for name, depth in walk(child)]
+            for child, length in children[node]
+        ]
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                for name_a, depth_a in groups[a]:
+                    for name_b, depth_b in groups[b]:
+                        out[frozenset((name_a, name_b))] = depth_a + depth_b
+        return [entry for group in groups for entry in group]
+
+    walk(tree.merge_log[-1].new)
+    return out
+
+
+def recursive_leaf_depths(tree) -> dict[str, float]:
+    """Root-to-leaf path lengths by a recursive walk from the root."""
+    children = _merge_children(tree)
+    depths: dict[str, float] = {}
+
+    def walk(node: int, depth: float):
+        if node not in children:
+            depths[tree.taxa[node]] = depth
+            return
+        for child, length in children[node]:
+            walk(child, depth + length)
+
+    walk(tree.merge_log[-1].new, 0.0)
+    return depths
 
 
 def parse_newick(text: str):

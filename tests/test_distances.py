@@ -141,10 +141,10 @@ class TestPairwiseDistanceMatrix:
     def test_errors_name_the_pair(self):
         # a zero gap penalty with a harsh mismatch makes the aligner prefer
         # an all-gap-column alignment, leaving no comparable sites
+        with pytest.warns(UserWarning, match="two gaps"):
+            scheme = ScoringScheme(0, -5, 0)
         with pytest.raises(ValueError, match=r"pair \(a, b\)"):
-            pairwise_distance_matrix(
-                [Sequence("a", "A"), Sequence("b", "T")], ScoringScheme(0, -5, 0)
-            )
+            pairwise_distance_matrix([Sequence("a", "A"), Sequence("b", "T")], scheme)
 
     def test_requires_two_distinct_gapless(self):
         with pytest.raises(ValueError, match="two"):

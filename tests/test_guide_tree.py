@@ -11,10 +11,15 @@ from helpers import (
     parse_newick,
     random_additive,
     random_ultrametric,
+    recursive_leaf_depths,
+    recursive_newick,
+    recursive_tree_distances,
     scan_argmin_pair,
 )
 from promsa import (
     DistanceMatrix,
+    GuideTree,
+    Merge,
     NjWorkspace,
     leaf_order,
     merge_log_csv,
@@ -24,7 +29,7 @@ from promsa import (
     tree_distances,
     upgma_build,
 )
-from promsa.guide_tree import _closest_pair, leaf_depths
+from promsa.guide_tree import BuildStats, _closest_pair, leaf_depths
 
 # Additive distances realized by the tree ((a:1,b:2),(c:3,d:4)) with an
 # internal edge of length 5.
@@ -54,8 +59,10 @@ class TestUpgma:
         assert [(m.left, m.right, m.new) for m in tree.merge_log] == [(0, 1, 3), (2, 3, 4)]
         assert tree.merge_log[0].criterion == 2.0
         # heights 1 then 2; branch lengths a:1 b:1 c:2 and 1 for the inner edge
-        assert tree.nodes[3].height == 1.0
-        assert tree.nodes[4].height == 2.0
+        assert [(m.left_length, m.right_length) for m in tree.merge_log] == [
+            (1.0, 1.0),
+            (2.0, 1.0),
+        ]
         depths = leaf_depths(tree)
         assert depths == {"a": 2.0, "b": 2.0, "c": 2.0}
         d = tree_distances(tree)
@@ -354,3 +361,73 @@ def test_build_matches_pinned_hash(method, n):
     tree = {"upgma": upgma_build, "nj": nj_build}[method](pinned_matrix(n))
     digest = hashlib.sha256((repr(tree.merge_log) + to_newick(tree)).encode()).hexdigest()
     assert digest == PINNED_BUILDS[(method, n)]
+
+
+@st.composite
+def distance_matrices(draw):
+    """A seeded symmetric 2-25 taxon matrix, either of tied integers 0-3 or
+    of uniform floats, so NJ branches are often negative."""
+    n = draw(st.integers(2, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, 4, size=(n, n)).astype(float)
+    else:
+        values = rng.uniform(0.0, 10.0, size=(n, n))
+    upper = np.triu(values, 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
+
+
+def float_hex(values: dict) -> dict:
+    return {key: float(value).hex() for key, value in values.items()}
+
+
+class TestMergeLogWalks:
+    @pytest.mark.parametrize("build", [upgma_build, nj_build])
+    @given(m=distance_matrices())
+    def test_match_recursive_oracles(self, build, m):
+        tree = build(m)
+        for clamp in (False, True):
+            assert to_newick(tree, clamp) == recursive_newick(tree, clamp)
+        assert float_hex(tree_distances(tree)) == float_hex(recursive_tree_distances(tree))
+        assert float_hex(leaf_depths(tree)) == float_hex(recursive_leaf_depths(tree))
+
+
+def caterpillar_matrix(n: int) -> DistanceMatrix:
+    """Ultrametric ladder d(i, j) = 2 * max(i, j): UPGMA joins taxon i to
+    the cluster of taxa 0..i-1 at height i, so the tree is n - 1 joins deep."""
+    idx = np.arange(n, dtype=float)
+    values = 2.0 * np.maximum.outer(idx, idx)
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), values)
+
+
+def caterpillar_tree(n: int) -> GuideTree:
+    """The UPGMA tree of ``caterpillar_matrix(n)``, built from its merge log."""
+    log = [Merge(0, 1, n, 2.0, 1.0, 1.0)]
+    for i in range(2, n):
+        log.append(Merge(i, n + i - 2, n + i - 1, 2.0 * i, float(i), 1.0))
+    scanned = sum(k * (k - 1) // 2 for k in range(2, n + 1))
+    return GuideTree("upgma", tuple(f"t{i}" for i in range(n)), tuple(log), BuildStats(n - 1, scanned))
+
+
+class TestDeepTrees:
+    def test_hand_made_log_is_the_upgma_build(self):
+        assert upgma_build(caterpillar_matrix(40)) == caterpillar_tree(40)
+
+    def test_walks_do_not_recurse(self):
+        n = 1200
+        tree = caterpillar_tree(n)
+        expected = "(t0:1.000000,t1:1.000000)"
+        for i in range(2, n):
+            expected = f"(t{i}:{i:.6f},{expected}:1.000000)"
+        assert to_newick(tree) == expected + ";"
+        assert leaf_depths(tree) == {f"t{i}": float(n - 1) for i in range(n)}
+        assert repr(tree).count("Merge(") == n - 1
+
+    def test_distances_of_a_600_taxon_ladder(self):
+        m = caterpillar_matrix(600)
+        d = tree_distances(upgma_build(m))
+        assert len(d) == 600 * 599 // 2
+        for i in range(600):
+            for j in range(i + 1, 600):
+                assert d[frozenset((m.taxa[i], m.taxa[j]))] == m.values[i, j]

@@ -50,8 +50,8 @@ class TestMergeSchedule:
             (2, 3, 5),
             (4, 5, 6),
         ]
-        # one join per internal node
-        assert len(log) == len(tree.nodes) - tree.n_leaves
+        # one join per internal node of a binary tree
+        assert len(log) == tree.n_leaves - 1
 
     def test_two_leaf_schedule(self):
         import numpy as np

@@ -82,6 +82,16 @@ class TestParseFasta:
             parse_fasta(text.encode() if encode else text)
         assert (info.value.line, info.value.offset) == (2, offset)
 
+    @pytest.mark.parametrize(
+        ("data", "line", "offset"),
+        [(b">a\nAC\xffGT\n", 2, 5), (b">a\xff\nACGT\n", 1, 2)],
+        ids=["body", "header"],
+    )
+    def test_invalid_utf8_reports_position(self, data, line, offset):
+        with pytest.raises(FastaError, match="UTF-8") as info:
+            parse_fasta(data)
+        assert (info.value.line, info.value.offset) == (line, offset)
+
     def test_empty_input(self):
         with pytest.raises(FastaError, match="empty"):
             parse_fasta("")
