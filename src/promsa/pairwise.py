@@ -9,11 +9,24 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sequences import GAP, Msa, Sequence
 
 # Traceback move codes, in alignment order: D consumes a residue from both
 # inputs, U consumes from the first only, L from the second only.
 DIAG, UP, LEFT = "D", "U", "L"
+
+# Largest score grid a call may fill: 2 GiB of int64. With every score
+# within 2**31 (checked by ScoringScheme), each cell stays below 2**60.
+MAX_DP_CELLS = 2**28
+_MAX_SCORE = 2**31
+
+# Rows at least this many cells wide are filled with numpy, narrower rows by
+# a Python loop: numpy's fixed cost per row outweighs the cells it saves
+# below a crossover of 24-32 cells (align_strings on square DNA pairs,
+# 2-core x86, Python 3.11, numpy 2.4).
+_VECTOR_MIN_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -29,6 +42,8 @@ class ScoringScheme:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if abs(value) > _MAX_SCORE:
+                raise ValueError(f"{name} must be within +-2**31, got {value}")
         if self.match_score < self.mismatch_score:
             warnings.warn(
                 "match_score is below mismatch_score; alignments will favor mismatches",
@@ -77,27 +92,49 @@ class PairwiseAlignment:
         return Msa((self.row_a, self.row_b))
 
 
-def _fill(a: str, b: str, s: ScoringScheme) -> list[list[int]]:
-    match, mismatch, gap = s.match_score, s.mismatch_score, s.gap_penalty
+def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
+    """The score grid on the shifted scale F[i][j] = H[i][j] - g*(i+j).
+
+    In F the borders are zero and each cell is the largest of
+    F[i-1][j-1] + s_ij - 2g, F[i-1][j] and F[i][j-1], so a whole row is one
+    elementwise step followed by a running maximum. Returns the
+    (len(a)+1) x (len(b)+1) grid flattened row by row; indexing it gives
+    plain ints.
+    """
     m, n = len(a), len(b)
-    rows = [[0] * (n + 1) for _ in range(m + 1)]
-    rows[0] = [j * gap for j in range(n + 1)]
-    for i in range(1, m + 1):
-        prev = rows[i - 1]
-        cur = rows[i]
-        cur[0] = i * gap
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            diag = prev[j - 1] + (match if ai == b[j - 1] else mismatch)
-            up = prev[j] + gap
-            left = cur[j - 1] + gap
-            best = diag
+    if (m + 1) * (n + 1) > MAX_DP_CELLS:
+        raise ValueError(
+            f"aligning lengths {m} and {n} needs {(m + 1) * (n + 1)} DP cells, "
+            f"over the budget of {MAX_DP_CELLS}"
+        )
+    gap = s.gap_penalty
+    diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
+    if n + 1 >= _VECTOR_MIN_WIDTH:
+        # Code points, so any str works, lone surrogates included.
+        codes = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        steps = {x: np.where(codes == ord(x), diag_match, diag_mismatch) for x in set(a)}
+        grid = np.zeros((m + 1, n + 1), dtype=np.int64)
+        for x, prev, cur in zip(a, grid, grid[1:]):
+            np.maximum(prev[:-1] + steps[x], prev[1:], out=cur[1:])
+            np.maximum.accumulate(cur, out=cur)
+        return memoryview(grid.reshape(-1))
+    steps = {x: [diag_match if x == y else diag_mismatch for y in b] for x in set(a)}
+    prev = [0] * (n + 1)
+    flat = list(prev)
+    for x in a:
+        cur = [0]
+        left = 0
+        for best, up, step in zip(prev, prev[1:], steps[x]):
+            best += step
             if up > best:
                 best = up
             if left > best:
                 best = left
-            cur[j] = best
-    return rows
+            cur.append(best)
+            left = best
+        flat += cur
+        prev = cur
+    return flat
 
 
 def build_dp_matrix(a: Sequence | str, b: Sequence | str, s: ScoringScheme) -> DpMatrix:
@@ -109,7 +146,15 @@ def build_dp_matrix(a: Sequence | str, b: Sequence | str, s: ScoringScheme) -> D
     """
     sa = _residues(a, "a")
     sb = _residues(b, "b")
-    return DpMatrix(tuple(tuple(row) for row in _fill(sa, sb, s)))
+    flat = _fill(sa, sb, s)
+    width = len(sb) + 1
+    gap = s.gap_penalty
+    return DpMatrix(
+        tuple(
+            tuple(v + gap * (i + j) for j, v in enumerate(flat[i * width : (i + 1) * width]))
+            for i in range(len(sa) + 1)
+        )
+    )
 
 
 def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
@@ -122,27 +167,33 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
     D, then U, then L, which makes the result deterministic.
     """
     gap = s.gap_penalty
+    diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
     ra, rb = a[::-1], b[::-1]
-    grid = _fill(ra, rb, s)
-    score = grid[len(a)][len(b)]
+    flat = _fill(ra, rb, s)
+    i, j = len(a), len(b)
+    width = j + 1
+    k = len(flat) - 1  # flat index of cell (i, j)
+    score = flat[k] + gap * (i + j)
     # Walking the reversed grid from its corner decides the first column of
     # the forward alignment first, so moves come out already in order.
     moves: list[str] = []
-    i, j = len(a), len(b)
     while i > 0 or j > 0:
-        cell = grid[i][j]
-        if i > 0 and j > 0 and cell == grid[i - 1][j - 1] + (
-            s.match_score if ra[i - 1] == rb[j - 1] else s.mismatch_score
+        cell = flat[k]
+        if i > 0 and j > 0 and cell == flat[k - width - 1] + (
+            diag_match if ra[i - 1] == rb[j - 1] else diag_mismatch
         ):
             moves.append(DIAG)
             i -= 1
             j -= 1
-        elif i > 0 and cell == grid[i - 1][j] + gap:
+            k -= width + 1
+        elif i > 0 and cell == flat[k - width]:
             moves.append(UP)
             i -= 1
+            k -= width
         else:
             moves.append(LEFT)
             j -= 1
+            k -= 1
     return score, "".join(moves)
 
 

@@ -4,7 +4,7 @@ The merge stage folds over the guide tree's own join log: a leaf-leaf
 join runs the pairwise aligner, a group-leaf join aligns the newcomer to
 the group's consensus, and a group-group join aligns the two consensus
 sequences, propagating inserted gaps into the owning groups. Each stage
-is timed with a monotonic clock and reported in whole milliseconds.
+is timed with a monotonic clock in nanoseconds.
 """
 
 from __future__ import annotations
@@ -45,10 +45,28 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StageTimings:
-    distance_ms: int
-    tree_ms: int
-    merge_ms: int
-    total_ms: int
+    """Stage wall times in ns; the ``*_ms`` views round down to whole ms."""
+
+    distance_ns: int
+    tree_ns: int
+    merge_ns: int
+    total_ns: int
+
+    @property
+    def distance_ms(self) -> int:
+        return self.distance_ns // 1_000_000
+
+    @property
+    def tree_ms(self) -> int:
+        return self.tree_ns // 1_000_000
+
+    @property
+    def merge_ms(self) -> int:
+        return self.merge_ns // 1_000_000
+
+    @property
+    def total_ms(self) -> int:
+        return self.total_ns // 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,10 +77,6 @@ class PipelineReport:
     total_cost: float
     sp_score: int
     timings: StageTimings
-
-
-def _ms(start_ns: int, end_ns: int) -> int:
-    return (end_ns - start_ns) // 1_000_000
 
 
 def progressive_align(
@@ -83,14 +97,14 @@ def progressive_align(
         matrix = pairwise_distance_matrix(seqs, cfg.scoring, cfg.d_max)
     except Exception as err:
         raise PipelineError("distance", err) from err
-    distance_ns = time.monotonic_ns()
+    distance_end_ns = time.monotonic_ns()
 
     try:
         build = upgma_build if cfg.guide_method == "upgma" else nj_build
         tree = build(matrix)
     except Exception as err:
         raise PipelineError("tree", err) from err
-    tree_ns = time.monotonic_ns()
+    tree_end_ns = time.monotonic_ns()
 
     try:
         groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
@@ -111,7 +125,7 @@ def progressive_align(
         alignment = Msa(tuple(by_id[i] for i in ids))
     except Exception as err:
         raise PipelineError("merge", err) from err
-    merge_ns = time.monotonic_ns()
+    merge_end_ns = time.monotonic_ns()
 
     return PipelineReport(
         distance_matrix=matrix,
@@ -120,9 +134,9 @@ def progressive_align(
         total_cost=sp_total_cost(alignment, CostScheme()),
         sp_score=sp_score(alignment, cfg.scoring),
         timings=StageTimings(
-            distance_ms=_ms(start_ns, distance_ns),
-            tree_ms=_ms(distance_ns, tree_ns),
-            merge_ms=_ms(tree_ns, merge_ns),
-            total_ms=_ms(start_ns, merge_ns),
+            distance_ns=distance_end_ns - start_ns,
+            tree_ns=tree_end_ns - distance_end_ns,
+            merge_ns=merge_end_ns - tree_end_ns,
+            total_ns=merge_end_ns - start_ns,
         ),
     )

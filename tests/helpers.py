@@ -1,5 +1,5 @@
-"""Shared test oracles: exhaustive alignment enumeration, row-pair
-sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
+"""Shared test oracles: exhaustive alignment enumeration, the scalar
+Needleman-Wunsch fill and traceback, row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
 guide-tree walks, a minimal Newick reader, and random tree/matrix
 generators. Everything here is independent
 of the code paths under test."""
@@ -47,6 +47,56 @@ def brute_force_score(a: str, b: str, match: int, mismatch: int, gap: int) -> in
         return best
 
     return rec(0, 0)
+
+
+def scalar_fill(a: str, b: str, s: ScoringScheme) -> list[list[int]]:
+    """The (len(a)+1) x (len(b)+1) score grid, one cell at a time."""
+    match, mismatch, gap = s.match_score, s.mismatch_score, s.gap_penalty
+    m, n = len(a), len(b)
+    rows = [[0] * (n + 1) for _ in range(m + 1)]
+    rows[0] = [j * gap for j in range(n + 1)]
+    for i in range(1, m + 1):
+        prev = rows[i - 1]
+        cur = rows[i]
+        cur[0] = i * gap
+        ai = a[i - 1]
+        for j in range(1, n + 1):
+            diag = prev[j - 1] + (match if ai == b[j - 1] else mismatch)
+            up = prev[j] + gap
+            left = cur[j - 1] + gap
+            best = diag
+            if up > best:
+                best = up
+            if left > best:
+                best = left
+            cur[j] = best
+    return rows
+
+
+def scalar_align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
+    """(score, moves) by tracing back ``scalar_fill`` of the reversed
+    strings, preferring D, then U, then L at each step."""
+    gap = s.gap_penalty
+    ra, rb = a[::-1], b[::-1]
+    grid = scalar_fill(ra, rb, s)
+    score = grid[len(a)][len(b)]
+    moves: list[str] = []
+    i, j = len(a), len(b)
+    while i > 0 or j > 0:
+        cell = grid[i][j]
+        if i > 0 and j > 0 and cell == grid[i - 1][j - 1] + (
+            s.match_score if ra[i - 1] == rb[j - 1] else s.mismatch_score
+        ):
+            moves.append("D")
+            i -= 1
+            j -= 1
+        elif i > 0 and cell == grid[i - 1][j] + gap:
+            moves.append("U")
+            i -= 1
+        else:
+            moves.append("L")
+            j -= 1
+    return score, "".join(moves)
 
 
 def pair_loop_sp_score(msa: Msa, s: ScoringScheme) -> int:

@@ -89,6 +89,21 @@ class TestAlignCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_score_out_of_range_is_data_error(self, tmp_path, capsys):
+        fasta = write_setup1(tmp_path / "in.fasta")
+        code = main(["align", "--input", fasta, "--match", "3000000000"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: match_score")
+
+    def test_grid_over_cell_budget_is_data_error(self, tmp_path, capsys):
+        fasta = tmp_path / "long.fasta"
+        fasta.write_text(f">a\n{'A' * 16384}\n>b\n{'C' * 16384}\n")
+        code = main(["align", "--input", str(fasta), "--out", str(tmp_path / "o.fasta")])
+        assert code == 1
+        assert "error: distance stage failed: pair (a, b): aligning lengths 16384 and 16384" in (
+            capsys.readouterr().err
+        )
+
     def test_usage_error_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["align", "--guide", "upgma"])  # --input missing

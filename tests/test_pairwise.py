@@ -2,8 +2,10 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import brute_force_score, random_dna
+from helpers import brute_force_score, random_dna, scalar_align_strings, scalar_fill
 from promsa import (
     ScoringScheme,
     Sequence,
@@ -11,7 +13,7 @@ from promsa import (
     align_strings,
     build_dp_matrix,
 )
-from promsa.pairwise import expand_by_moves
+from promsa.pairwise import MAX_DP_CELLS, expand_by_moves
 
 FIG2_SCHEME = ScoringScheme(3, 1, -1)
 SETUP_SCHEME = ScoringScheme(3, 0, -1)
@@ -46,6 +48,15 @@ class TestScoringScheme:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             ScoringScheme(3, 0.5, -1)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("field", ["match_score", "mismatch_score", "gap_penalty"])
+    def test_scores_bounded_by_two_to_the_31(self, field):
+        for value in (2**31, -(2**31)):
+            ScoringScheme(**{field: value})
+        for value in (2**31 + 1, -(2**31) - 1):
+            with pytest.raises(ValueError, match=field):
+                ScoringScheme(**{field: value})
 
 
 class TestBuildDpMatrix:
@@ -180,3 +191,48 @@ class TestAlignStrings:
     def test_expand_rejects_short_consumption(self):
         with pytest.raises(ValueError):
             expand_by_moves("ACGT", "DD", "DU")
+
+    # Wide rows and narrow ones: the budget is checked before either fill.
+    @pytest.mark.parametrize("m, n", [(16384, 16384), (MAX_DP_CELLS // 31, 30)])
+    def test_grid_over_the_cell_budget_rejected(self, m, n):
+        assert (m + 1) * (n + 1) > MAX_DP_CELLS
+        with pytest.raises(ValueError, match=rf"lengths {m} and {n} .*{MAX_DP_CELLS}"):
+            align_strings("A" * m, "A" * n, SETUP_SCHEME)
+
+
+SYMBOLS = "ACGT_é\ud800"
+
+
+class TestScalarOracle:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        st.text(SYMBOLS, max_size=70),
+        st.text(SYMBOLS, max_size=70),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    def test_kernel_equals_scalar_oracle(self, a, b, match, mismatch, gap):
+        s = ScoringScheme(match, mismatch, gap)
+        if a or b:
+            result = align_strings(a, b, s)
+            assert result == scalar_align_strings(a, b, s)
+            assert type(result[0]) is int
+        a, b = a.replace("_", ""), b.replace("_", "")
+        cells = build_dp_matrix(a, b, s).cells
+        assert cells == tuple(tuple(row) for row in scalar_fill(a, b, s))
+        assert all(type(v) is int for row in cells for v in row)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("width", [30, 31])
+    @pytest.mark.parametrize(
+        "scores", [(3, 0, -1), (3, 1, -1), (0, 3, 2), (2**31, -(2**31), -(2**31))]
+    )
+    def test_both_sides_of_the_vector_width(self, width, scores):
+        # Rows of len(b) + 1 cells: 31 runs the Python loop, 32 numpy.
+        rng = random.Random(width)
+        s = ScoringScheme(*scores)
+        for _ in range(10):
+            a = "".join(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 40)))
+            b = "".join(rng.choice(SYMBOLS) for _ in range(width))
+            assert align_strings(a, b, s) == scalar_align_strings(a, b, s)

@@ -132,6 +132,12 @@ class TestProgressiveAlign:
         assert min(t.distance_ms, t.tree_ms, t.merge_ms, t.total_ms) >= 0
         assert t.total_ms >= t.distance_ms + t.tree_ms + t.merge_ms - 1
 
+    def test_ms_timings_derive_from_ns(self):
+        t = progressive_align(setup1_sequences(), _config()).timings
+        for stage in ("distance", "tree", "merge", "total"):
+            assert getattr(t, f"{stage}_ms") == getattr(t, f"{stage}_ns") // 1_000_000
+        assert t.total_ns >= t.distance_ns + t.tree_ns + t.merge_ns
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="two"):
             progressive_align([Sequence("a", "ACGT")], _config())
