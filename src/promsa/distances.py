@@ -10,6 +10,7 @@ flagged as saturated.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +76,8 @@ def jukes_cantor(stats: MatchStats, d_max: float = DEFAULT_D_MAX) -> JukesCantor
     p = stats.mismatch_fraction
     if p >= SATURATION_P:
         return JukesCantorResult(d_max, True)
+    if p == 0:
+        return JukesCantorResult(0.0, False)  # the formula gives -0.0 here
     return JukesCantorResult(-0.75 * math.log(1.0 - (4.0 / 3.0) * p), False)
 
 
@@ -124,20 +127,33 @@ def pairwise_distance_matrix(
 ) -> DistanceMatrix:
     """Jukes-Cantor distances for every unordered pair of input sequences.
 
-    Each pair is aligned with ``align_global`` under the given scoring
-    scheme before its sites are counted. Errors from the per-pair steps
-    are re-raised with the offending pair named.
+    Each distinct ordered residue pair is aligned once with ``align_global``
+    under the given scoring scheme before its sites are counted; a later
+    pair with the same residues, in the same order, reuses that distance.
+    The order matters because traceback ties can resolve differently when
+    the inputs are swapped. Errors from the per-pair steps are re-raised
+    with the offending pair named, which is the first pair in row order
+    with those residues.
     """
     ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)
     values = np.zeros((n, n))
+    residues = [seq.residues for seq in seqs]
+    # A key recurs only if one of its strings does, so only those are kept.
+    repeats = {r for r, count in Counter(residues).items() if count > 1}
+    known: dict[tuple[str, str], float] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            try:
-                alignment = align_global(seqs[i], seqs[j], s)
-                d = jukes_cantor(column_stats(alignment), d_max).value
-            except ValueError as err:
-                raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
+            key = (residues[i], residues[j])
+            d = known.get(key)
+            if d is None:
+                try:
+                    alignment = align_global(seqs[i], seqs[j], s)
+                    d = jukes_cantor(column_stats(alignment), d_max).value
+                except ValueError as err:
+                    raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
+                if key[0] in repeats or key[1] in repeats:
+                    known[key] = d
             values[i, j] = values[j, i] = d
     return DistanceMatrix(tuple(ids), values)

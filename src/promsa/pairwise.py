@@ -114,8 +114,10 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
         codes = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         steps = {x: np.where(codes == ord(x), diag_match, diag_mismatch) for x in set(a)}
         grid = np.zeros((m + 1, n + 1), dtype=np.int64)
-        for x, prev, cur in zip(a, grid, grid[1:]):
-            np.maximum(prev[:-1] + steps[x], prev[1:], out=cur[1:])
+        rows = zip(a, grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:])
+        for x, diag, up, out, cur in rows:
+            np.add(diag, steps[x], out=out)
+            np.maximum(out, up, out=out)
             np.maximum.accumulate(cur, out=cur)
         return memoryview(grid.reshape(-1))
     steps = {x: [diag_match if x == y else diag_mismatch for y in b] for x in set(a)}

@@ -1,5 +1,6 @@
 """Shared test oracles: exhaustive alignment enumeration, the scalar
-Needleman-Wunsch fill and traceback, row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
+Needleman-Wunsch fill and traceback, the align-every-pair distance loop,
+row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
 guide-tree walks, a minimal Newick reader, and random tree/matrix
 generators. Everything here is independent
 of the code paths under test."""
@@ -10,7 +11,17 @@ from itertools import combinations
 
 import numpy as np
 
-from promsa import GAP, CostScheme, DistanceMatrix, Msa, ScoringScheme, Sequence
+from promsa import (
+    GAP,
+    CostScheme,
+    DistanceMatrix,
+    Msa,
+    ScoringScheme,
+    Sequence,
+    align_global,
+    column_stats,
+    jukes_cantor,
+)
 
 # The seven short test sequences used throughout (degapped).
 SETUP1 = (
@@ -97,6 +108,24 @@ def scalar_align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
             moves.append("L")
             j -= 1
     return score, "".join(moves)
+
+
+def pair_loop_distance_matrix(
+    seqs: list[Sequence], s: ScoringScheme, d_max: float
+) -> DistanceMatrix:
+    """Jukes-Cantor distances with one alignment per unordered pair,
+    repeated residue strings included; errors name the pair."""
+    n = len(seqs)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                alignment = align_global(seqs[i], seqs[j], s)
+                d = jukes_cantor(column_stats(alignment), d_max).value
+            except ValueError as err:
+                raise ValueError(f"pair ({seqs[i].id}, {seqs[j].id}): {err}") from err
+            values[i, j] = values[j, i] = d
+    return DistanceMatrix(tuple(seq.id for seq in seqs), values)
 
 
 def pair_loop_sp_score(msa: Msa, s: ScoringScheme) -> int:

@@ -160,6 +160,17 @@ class TestTreeCommand:
         assert lines[0] == "taxon,a,b"
         assert lines[1].startswith("a,0.000000,0.304099")
 
+    def test_identical_sequences_write_positive_zero(self, tmp_path):
+        fasta = tmp_path / "three.fasta"
+        fasta.write_text(">a\nACGT\n>b\nACGT\n>c\nACGA\n")
+        out, distmat = tmp_path / "t.nwk", tmp_path / "d.csv"
+        assert main(["tree", "--input", str(fasta), "--method", "upgma",
+                     "--out", str(out), "--distmat", str(distmat)]) == 0
+        lines = distmat.read_text().splitlines()
+        assert lines[1] == "a,0.000000,0.000000,0.304099"
+        assert lines[2] == "b,0.000000,0.000000,0.304099"
+        assert out.read_text().strip() == "(c:0.152049,(a:0.000000,b:0.000000):0.152049);"
+
 
 class TestGenCommand:
     def test_small_class_bounds(self, tmp_path):

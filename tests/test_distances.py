@@ -1,11 +1,14 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import promsa.distances
-from helpers import random_dna
+from helpers import pair_loop_distance_matrix, random_dna
 from promsa import (
     DistanceMatrix,
     MatchStats,
@@ -21,6 +24,16 @@ from promsa import (
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
     return PairwiseAlignment(Sequence("a", a), Sequence("b", b), 0)
+
+
+@st.composite
+def repeating_inputs(draw) -> list[Sequence]:
+    """Sequences drawn from a small pool of residue strings, so that repeats,
+    pairs of one string and both orders of two strings all occur."""
+    strings = st.integers(1, 40).flatmap(lambda k: st.text("ACGT", min_size=k, max_size=k))
+    pool = draw(st.lists(strings, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8))
+    return [Sequence(f"s{i}", residues) for i, residues in enumerate(picks)]
 
 
 class TestMatchStats:
@@ -51,6 +64,7 @@ class TestJukesCantor:
     def test_zero_distance_at_zero_mismatches(self):
         result = jukes_cantor(MatchStats(10, 0, 10))
         assert result.value == 0.0
+        assert math.copysign(1.0, result.value) == 1.0  # not -0.0
         assert not result.saturated
 
     def test_quarter_mismatch(self):
@@ -137,6 +151,44 @@ class TestPairwiseDistanceMatrix:
             pairwise_distance_matrix(seqs)
             assert len(calls) == n * (n - 1) // 2
             assert len(set(calls)) == len(calls)
+
+    def test_aligns_each_distinct_ordered_residue_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting_align(a, b, s):
+            calls.append((a.residues, b.residues))
+            return align_global(a, b, s)
+
+        monkeypatch.setattr(promsa.distances, "align_global", counting_align)
+        # Under the default scheme the two orders of x and y give different
+        # distances, so (s1, s2) must not reuse the value of (s0, s1).
+        x, y = "GAAAGTTC", "ATCGAAA"
+        picks = [x, y, x, "ACGT", y, "ACGT", x, "ACGA"]
+        seqs = [Sequence(f"s{i}", residues) for i, residues in enumerate(picks)]
+        m = pairwise_distance_matrix(seqs)
+        keys = {(picks[i], picks[j]) for i, j in combinations(range(len(picks)), 2)}
+        assert len(calls) == len(keys) < len(picks) * (len(picks) - 1) // 2
+        assert set(calls) == keys
+        assert m.between("s0", "s1") == pytest.approx(2.283392, abs=1e-6)
+        assert m.between("s1", "s2") == 0.0
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        repeating_inputs(),
+        # The last scheme leaves mismatched pairs no gap-free column.
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (0, -5, 0)]),
+        st.sampled_from([10.0, 0.5]),
+    )
+    def test_matches_pair_loop_oracle(self, seqs, scores, d_max):
+        s = ScoringScheme(*scores)
+
+        def outcome(distance_matrix):
+            try:
+                return distance_matrix(seqs, s, d_max).values.tobytes()
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(pairwise_distance_matrix) == outcome(pair_loop_distance_matrix)
 
     def test_errors_name_the_pair(self):
         # a zero gap penalty with a harsh mismatch makes the aligner prefer
