@@ -39,15 +39,14 @@ def _pair_counts(msa: Msa) -> tuple[int, int, int]:
     """
     if msa.depth < 2:
         return 0, 0, 0
-    match = mismatch = residue_gap = 0
-    for column in build_profile(msa).counts:
-        # Profile columns count A, C, G, T, then the gap.
-        gaps = column[-1]
-        residues = msa.depth - gaps
-        same = sum(c * (c - 1) for c in column[:-1]) // 2
-        match += same
-        mismatch += residues * (residues - 1) // 2 - same
-        residue_gap += residues * gaps
+    counts = build_profile(msa).counts
+    # Profile columns count A, C, G, T, then the gap.
+    letters, gaps = counts[:, :-1], counts[:, -1]
+    residues = msa.depth - gaps
+    # Python ints from here on: the callers weight them by scores up to 2**31.
+    match = int((letters * (letters - 1)).sum()) // 2
+    mismatch = int((residues * (residues - 1)).sum()) // 2 - match
+    residue_gap = int((residues * gaps).sum())
     return match, mismatch, residue_gap
 
 

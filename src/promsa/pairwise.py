@@ -16,9 +16,12 @@ from .sequences import GAP, Msa, Sequence
 # Traceback move codes, in alignment order: D consumes a residue from both
 # inputs, U consumes from the first only, L from the second only.
 DIAG, UP, LEFT = "D", "U", "L"
+# The move that puts a gap into each input's row.
+_GAP_MOVE = {DIAG + UP: LEFT, DIAG + LEFT: UP}
 
-# Largest score grid a call may fill: 2 GiB of int64. With every score
-# within 2**31 (checked by ScoringScheme), each cell stays below 2**60.
+# Largest score grid a call may fill. The budget stays in cells whatever a
+# cell's width: 2 GiB on an int64 grid, 1 GiB on an int32 one. With every
+# score within 2**31 (checked by ScoringScheme), each cell stays below 2**60.
 MAX_DP_CELLS = 2**28
 _MAX_SCORE = 2**31
 
@@ -100,6 +103,10 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     elementwise step followed by a running maximum. Returns the
     (len(a)+1) x (len(b)+1) grid flattened row by row; indexing it gives
     plain ints.
+
+    A numpy grid is int32 when every value written fits, else int64. Each
+    F lies in [0, min(m, n) * the best diagonal step, or 0], and each
+    diagonal sum F + step is at least the smaller diagonal step.
     """
     m, n = len(a), len(b)
     if (m + 1) * (n + 1) > MAX_DP_CELLS:
@@ -110,10 +117,16 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     gap = s.gap_penalty
     diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
     if n + 1 >= _VECTOR_MIN_WIDTH:
+        int32 = np.iinfo(np.int32)
+        top = min(m, n) * max(0, diag_match, diag_mismatch)
+        bottom = min(diag_match, diag_mismatch)
+        dtype = np.int32 if int32.min <= bottom and top <= int32.max else np.int64
         # Code points, so any str works, lone surrogates included.
         codes = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        steps = {x: np.where(codes == ord(x), diag_match, diag_mismatch) for x in set(a)}
-        grid = np.zeros((m + 1, n + 1), dtype=np.int64)
+        steps = {
+            x: np.where(codes == ord(x), diag_match, diag_mismatch).astype(dtype) for x in set(a)
+        }
+        grid = np.zeros((m + 1, n + 1), dtype=dtype)
         rows = zip(a, grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:])
         for x, diag, up, out, cur in rows:
             np.add(diag, steps[x], out=out)
@@ -202,20 +215,20 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
 def expand_by_moves(residues: str, moves: str, consume: str) -> str:
     """Project a string onto alignment columns, inserting gaps elsewhere.
 
-    ``consume`` names the moves that take the next residue; every other
-    move contributes a gap symbol.
+    ``consume`` names the moves that take the next residue: ``DIAG + UP``
+    for the first input's row, ``DIAG + LEFT`` for the second's. The third
+    move contributes a gap symbol. The residues are cut at the gap moves,
+    so the Python steps grow with the gaps, not the width.
     """
-    out: list[str] = []
+    pieces: list[str] = []
     pos = 0
-    for move in moves:
-        if move in consume:
-            out.append(residues[pos])
-            pos += 1
-        else:
-            out.append(GAP)
+    for run in moves.split(_GAP_MOVE[consume]):
+        end = pos + len(run)
+        pieces.append(residues[pos:end])
+        pos = end
     if pos != len(residues):
         raise ValueError("move string does not consume the whole sequence")
-    return "".join(out)
+    return GAP.join(pieces)
 
 
 def align_global(

@@ -16,10 +16,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .pairwise import DIAG, LEFT, UP, ScoringScheme, align_strings, expand_by_moves
 from .sequences import GAP, Msa, Sequence
 
 SYMBOL_ORDER = "ACGT" + GAP
+
+# ASCII codes of SYMBOL_ORDER, and the position in SYMBOL_ORDER of each code.
+_SYMBOL_CODES = np.frombuffer(SYMBOL_ORDER.encode("ascii"), dtype=np.uint8)
+_SYMBOL_INDEX = np.zeros(256, dtype=np.intp)
+_SYMBOL_INDEX[_SYMBOL_CODES] = np.arange(len(SYMBOL_ORDER))
 
 CONSENSUS_ID = "consensus"
 
@@ -59,33 +66,41 @@ class TieBreak:
         return f"TieBreak(mode={self.mode!r}, seed={self.seed!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileMatrix:
     """Per-column symbol counts over an alignment's rows.
 
-    Frequencies are exposed as count/depth, so every value is a multiple
-    of 1/depth and each column's frequencies sum to one.
+    ``counts`` is a read-only width x 5 int64 array whose columns follow
+    SYMBOL_ORDER (A, C, G, T, gap). Frequencies are exposed as count/depth,
+    so every value is a multiple of 1/depth and each column's frequencies
+    sum to one. Profiles compare by identity; compare ``counts`` with
+    ``np.array_equal``.
     """
 
-    counts: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
     depth: int
 
     def __post_init__(self):
-        for index, column in enumerate(self.counts):
-            if len(column) != len(SYMBOL_ORDER) or sum(column) != self.depth:
-                raise ValueError(f"column {index} counts do not total the depth")
+        counts = np.array(self.counts, dtype=np.int64)
+        if counts.ndim != 2 or counts.shape[1] != len(SYMBOL_ORDER):
+            raise ValueError(f"counts must be a width x {len(SYMBOL_ORDER)} table")
+        bad = np.flatnonzero(counts.sum(axis=1) != self.depth)
+        if bad.size:
+            raise ValueError(f"column {bad[0]} counts do not total the depth")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def width(self) -> int:
         return len(self.counts)
 
     def frequency(self, column: int, symbol: str) -> float:
-        return self.counts[column][SYMBOL_ORDER.index(symbol)] / self.depth
+        return int(self.counts[column, SYMBOL_ORDER.index(symbol)]) / self.depth
 
     def column_frequencies(self, column: int) -> dict[str, float]:
         return {
             symbol: count / self.depth
-            for symbol, count in zip(SYMBOL_ORDER, self.counts[column])
+            for symbol, count in zip(SYMBOL_ORDER, self.counts[column].tolist())
             if count
         }
 
@@ -94,9 +109,9 @@ class ProfileMatrix:
         per alignment position."""
         header = "symbol," + ",".join(str(i) for i in range(self.width))
         lines = [header]
-        for k, symbol in enumerate(SYMBOL_ORDER):
+        for symbol, counts in zip(SYMBOL_ORDER, self.counts.T.tolist()):
             label = "-" if symbol == GAP else symbol
-            values = ",".join(f"{col[k] / self.depth:.6f}" for col in self.counts)
+            values = ",".join(f"{count / self.depth:.6f}" for count in counts)
             lines.append(f"{label},{values}")
         return "\n".join(lines) + "\n"
 
@@ -105,9 +120,11 @@ def build_profile(msa: Msa) -> ProfileMatrix:
     """Count symbol occurrences per column; requires at least two rows."""
     if msa.depth < 2:
         raise ValueError("a profile needs at least two sequences")
-    columns = map("".join, zip(*(row.residues for row in msa.rows)))
-    counts = tuple(tuple(col.count(symbol) for symbol in SYMBOL_ORDER) for col in columns)
-    return ProfileMatrix(counts, msa.depth)
+    # Symbol k in column j counts into bin 5*j + k.
+    keys = _SYMBOL_INDEX[msa.codes]
+    keys += np.arange(0, len(SYMBOL_ORDER) * msa.width, len(SYMBOL_ORDER))
+    counts = np.bincount(keys.ravel(), minlength=len(SYMBOL_ORDER) * msa.width)
+    return ProfileMatrix(counts.reshape(msa.width, len(SYMBOL_ORDER)), msa.depth)
 
 
 def consensus(
@@ -121,6 +138,8 @@ def consensus(
     symbol supplied by ``against`` at that position is taken when it is
     among the tied leaders; otherwise the tie-break policy draws from the
     leaders. ``against`` must match the profile width when provided.
+    Only tied columns are visited, in column order, so a random policy
+    draws in the same columns and order as a walk over every column.
     """
     tie = tie if tie is not None else TieBreak()
     companion = against.residues if isinstance(against, Sequence) else against
@@ -128,17 +147,19 @@ def consensus(
         raise ValueError(
             f"companion length {len(companion)} does not match profile width {profile.width}"
         )
-    out = []
-    for index, column in enumerate(profile.counts):
-        top = max(column)
-        leaders = [symbol for symbol, count in zip(SYMBOL_ORDER, column) if count == top]
-        if len(leaders) == 1:
-            out.append(leaders[0])
-        elif companion is not None and companion[index] in leaders:
-            out.append(companion[index])
-        else:
-            out.append(tie.choose(leaders))
-    return Sequence(CONSENSUS_ID, "".join(out))
+    counts = profile.counts
+    # argmax takes the first leader in SYMBOL_ORDER, which is the lex rule.
+    out = _SYMBOL_CODES[counts.argmax(axis=1)]
+    if companion is not None or tie.mode == TieBreak.RANDOM:
+        leads = counts == counts.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(leads.sum(axis=1) > 1)
+        for index, lead in zip(tied.tolist(), leads[tied].tolist()):
+            leaders = [symbol for symbol, is_leader in zip(SYMBOL_ORDER, lead) if is_leader]
+            if companion is not None and companion[index] in leaders:
+                out[index] = ord(companion[index])
+            else:
+                out[index] = ord(tie.choose(leaders))
+    return Sequence(CONSENSUS_ID, out.tobytes().decode("ascii"))
 
 
 def _expand_rows(rows: tuple[Sequence, ...], moves: str, consume: str) -> list[Sequence]:

@@ -9,6 +9,9 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 GAP = "_"
 ALPHABET = "ACGT"
@@ -67,7 +70,8 @@ class Msa:
     """A rectangular block of gapped sequences.
 
     Invariants enforced on construction: at least one row, all rows the
-    same length, and no column made up entirely of gaps.
+    same length, and no column made up entirely of gaps. ``codes`` holds
+    the rows as a depth x width array, encoded once on construction.
     """
 
     rows: tuple[Sequence, ...]
@@ -82,9 +86,16 @@ class Msa:
                     f"ragged alignment: row {row.id!r} has length {len(row)}, "
                     f"expected {width}"
                 )
-        for col in range(width):
-            if all(row.residues[col] == GAP for row in self.rows):
-                raise ValueError(f"column {col} consists entirely of gaps")
+        all_gap = (self.codes == ord(GAP)).all(axis=0)
+        if all_gap.any():
+            raise ValueError(f"column {int(all_gap.argmax())} consists entirely of gaps")
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The rows as a read-only uint8 depth x width array of ASCII codes."""
+        # Sequence admits only ACGT and the gap glyph, so ASCII encodes every row.
+        data = "".join(row.residues for row in self.rows).encode("ascii")
+        return np.frombuffer(data, dtype=np.uint8).reshape(self.depth, self.width)
 
     @property
     def width(self) -> int:

@@ -1,15 +1,18 @@
 """Shared test oracles: exhaustive alignment enumeration, the scalar
-Needleman-Wunsch fill and traceback, the align-every-pair distance loop,
-row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, recursive
-guide-tree walks, a minimal Newick reader, and random tree/matrix
-generators. Everything here is independent
-of the code paths under test."""
+Needleman-Wunsch fill and traceback, the per-move gap expansion, the
+align-every-pair distance loop, the column-loop profile, consensus and
+pair tally, the all-gap column scan, row-pair sum-of-pairs loops, the
+pair-by-pair guide-tree join scan, recursive guide-tree walks, a minimal
+Newick reader, and random tree/matrix generators. Everything here is
+independent of the code paths under test."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from promsa import (
     GAP,
@@ -18,10 +21,12 @@ from promsa import (
     Msa,
     ScoringScheme,
     Sequence,
+    TieBreak,
     align_global,
     column_stats,
     jukes_cantor,
 )
+from promsa.profiles import SYMBOL_ORDER
 
 # The seven short test sequences used throughout (degapped).
 SETUP1 = (
@@ -108,6 +113,69 @@ def scalar_align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
             moves.append("L")
             j -= 1
     return score, "".join(moves)
+
+
+def loop_expand_by_moves(residues: str, moves: str, consume: str) -> str:
+    """Gapped row by one step per move: a residue for each move in
+    ``consume``, a gap for any other."""
+    out: list[str] = []
+    pos = 0
+    for move in moves:
+        if move in consume:
+            out.append(residues[pos])
+            pos += 1
+        else:
+            out.append(GAP)
+    if pos != len(residues):
+        raise ValueError("move string does not consume the whole sequence")
+    return "".join(out)
+
+
+def first_all_gap_column(rows) -> int | None:
+    """Index of the first column made of gaps only, scanning column by column."""
+    for col in range(len(rows[0])):
+        if all(row[col] == GAP for row in rows):
+            return col
+    return None
+
+
+def string_profile_counts(msa: Msa) -> tuple[tuple[int, ...], ...]:
+    """Per-column (A, C, G, T, gap) counts by transposing the rows as strings."""
+    columns = map("".join, zip(*(row.residues for row in msa.rows)))
+    return tuple(tuple(col.count(symbol) for symbol in SYMBOL_ORDER) for col in columns)
+
+
+def loop_consensus(counts, against: str | None = None, tie: TieBreak | None = None) -> str:
+    """Majority symbol column by column; a tie goes to ``against`` when it
+    holds a leader there, else to ``tie.choose`` over the leaders."""
+    tie = tie if tie is not None else TieBreak()
+    out = []
+    for index, column in enumerate(counts):
+        top = max(column)
+        leaders = [symbol for symbol, count in zip(SYMBOL_ORDER, column) if count == top]
+        if len(leaders) == 1:
+            out.append(leaders[0])
+        elif against is not None and against[index] in leaders:
+            out.append(against[index])
+        else:
+            out.append(tie.choose(leaders))
+    return "".join(out)
+
+
+def loop_pair_counts(msa: Msa) -> tuple[int, int, int]:
+    """(match, mismatch, residue-gap) pair counts summed column by column
+    from ``string_profile_counts``."""
+    if msa.depth < 2:
+        return 0, 0, 0
+    match = mismatch = residue_gap = 0
+    for column in string_profile_counts(msa):
+        gaps = column[-1]
+        residues = msa.depth - gaps
+        same = sum(c * (c - 1) for c in column[:-1]) // 2
+        match += same
+        mismatch += residues * (residues - 1) // 2 - same
+        residue_gap += residues * gaps
+    return match, mismatch, residue_gap
 
 
 def pair_loop_distance_matrix(
@@ -336,6 +404,32 @@ def random_additive(rng, n: int) -> DistanceMatrix:
 
     walk(items[0])
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), values)
+
+
+@st.composite
+def gapped_rows(draw, min_depth: int = 1, all_gap_columns: bool = False) -> tuple[str, ...]:
+    """Rows of a random gapped alignment: depth min_depth-30, width 1-200.
+
+    Each column draws its gap rate from 0 to 1 and the rows use two or four
+    letters, so mostly-gap and tied columns are common. Unless
+    ``all_gap_columns`` is set, a column of gaps only gets one letter back.
+    """
+    depth = draw(st.integers(min_depth, 30))
+    width = draw(st.integers(1, 200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    letters = rng.choice(("ACGT", "AG", "CT"))
+    columns = []
+    for _ in range(width):
+        rate = rng.choice((0.0, 0.5, 0.9, 1.0))
+        column = [GAP if rng.random() < rate else rng.choice(letters) for _ in range(depth)]
+        if not all_gap_columns and set(column) == {GAP}:
+            column[rng.randrange(depth)] = rng.choice(letters)
+        columns.append(column)
+    return tuple("".join(row) for row in zip(*columns))
+
+
+def msa_of_rows(rows) -> Msa:
+    return Msa(tuple(Sequence(f"r{i}", row) for i, row in enumerate(rows)))
 
 
 def random_dna(rng, lo: int, hi: int) -> str:

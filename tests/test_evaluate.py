@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import pair_loop_sp_score, pair_loop_sp_total_cost, random_dna
+from helpers import (
+    gapped_rows,
+    loop_pair_counts,
+    pair_loop_sp_score,
+    pair_loop_sp_total_cost,
+    random_dna,
+)
 from promsa import (
     CostScheme,
     Msa,
@@ -15,6 +21,7 @@ from promsa import (
     sp_score,
     sp_total_cost,
 )
+from promsa.evaluate import _pair_counts
 
 
 def msa_of(*rows: str) -> Msa:
@@ -110,6 +117,18 @@ def msas(draw, max_depth=8):
 
 DYADIC_COSTS = st.integers(0, 40).map(lambda quarters: quarters / 4)
 
+# Small scores, and the extremes ScoringScheme admits.
+BOUND_SCORES = st.integers(-5, 5) | st.sampled_from((-(2**31), 2**31))
+
+
+class TestPairCounts:
+    @given(gapped_rows())
+    def test_equals_column_loop_oracle(self, rows):
+        msa = msa_of(*rows)
+        tally = _pair_counts(msa)
+        assert tally == loop_pair_counts(msa)
+        assert all(type(count) is int for count in tally)
+
 
 class TestPairLoopOracle:
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -117,6 +136,15 @@ class TestPairLoopOracle:
     def test_sp_score_equals_pair_loop(self, msa, match, mismatch, gap):
         s = ScoringScheme(match, mismatch, gap)
         assert sp_score(msa, s) == pair_loop_sp_score(msa, s)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(msas(), BOUND_SCORES, BOUND_SCORES, BOUND_SCORES)
+    def test_sp_score_equals_pair_loop_at_the_score_bounds(self, msa, match, mismatch, gap):
+        # Weighted as int64, tallies times 2**31 could wrap; as Python ints they cannot.
+        s = ScoringScheme(match, mismatch, gap)
+        score = sp_score(msa, s)
+        assert score == pair_loop_sp_score(msa, s)
+        assert type(score) is int
 
     @given(msas(), DYADIC_COSTS, DYADIC_COSTS)
     def test_dyadic_total_cost_equals_pair_loop(self, msa, mismatch_cost, gap_letter_cost):

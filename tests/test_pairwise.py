@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_score, random_dna, scalar_align_strings, scalar_fill
+from helpers import (
+    brute_force_score,
+    loop_expand_by_moves,
+    random_dna,
+    scalar_align_strings,
+    scalar_fill,
+)
 from promsa import (
     ScoringScheme,
     Sequence,
@@ -192,6 +198,23 @@ class TestAlignStrings:
         with pytest.raises(ValueError):
             expand_by_moves("ACGT", "DD", "DU")
 
+    @given(st.data(), st.text("DUL", max_size=80), st.sampled_from(["DU", "DL"]))
+    def test_expand_equals_per_move_oracle(self, data, moves, consume):
+        # Residue counts around the number the moves consume, so both the
+        # exact case and the errors come up.
+        used = sum(move in consume for move in moves)
+        size = max(0, used + data.draw(st.integers(-2, 2)))
+        residues = data.draw(st.text("ACGT", min_size=size, max_size=size))
+        try:
+            expected = loop_expand_by_moves(residues, moves, consume)
+        except (ValueError, IndexError):
+            # The oracle runs off the end (IndexError) when the moves
+            # consume more than there is; both cases are a ValueError here.
+            with pytest.raises(ValueError, match="does not consume the whole sequence"):
+                expand_by_moves(residues, moves, consume)
+        else:
+            assert expand_by_moves(residues, moves, consume) == expected
+
     # Wide rows and narrow ones: the budget is checked before either fill.
     @pytest.mark.parametrize("m, n", [(16384, 16384), (MAX_DP_CELLS // 31, 30)])
     def test_grid_over_the_cell_budget_rejected(self, m, n):
@@ -236,3 +259,30 @@ class TestScalarOracle:
             a = "".join(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 40)))
             b = "".join(rng.choice(SYMBOLS) for _ in range(width))
             assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
+
+
+class TestGridDtype:
+    """The numpy grid is int32 only when every F and every diagonal sum fits.
+
+    "A" or "AA" against 40 A's (a numpy row) reaches the F bound
+    min(m, n) * (match - 2 * gap), the largest value the grid holds.
+    """
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        ("a", "scores"),
+        [
+            ("A", (2**31 - 1, 0, 0)),  # F bound 2**31 - 1
+            ("A", (2**31, 0, 0)),  # 2**31
+            ("AA", (2**30 - 1, 0, 0)),  # 2**31 - 2
+            ("AA", (2**30, 0, 0)),  # 2**31
+            ("AA", (2**29, 0, -(2**28))),  # 2**31, half of it from the gap term
+            # F bound 0, but a mismatch step is -2**31 - 2, below int32.
+            ("AC", (1, -(2**31), 1)),
+        ],
+    )
+    def test_matches_scalar_oracle_at_the_int32_edges(self, a, scores):
+        s = ScoringScheme(*scores)
+        b = "A" * 40
+        assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
+        assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))

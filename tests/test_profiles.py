@@ -1,10 +1,20 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_dna
+from helpers import (
+    gapped_rows,
+    loop_consensus,
+    msa_of_rows,
+    random_dna,
+    string_profile_counts,
+)
 from promsa import (
     Msa,
+    ProfileMatrix,
     ScoringScheme,
     Sequence,
     TieBreak,
@@ -100,6 +110,19 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="at least two"):
             build_profile(Msa((Sequence("a", "ACGT"),)))
 
+    def test_counts_are_a_read_only_int64_table(self):
+        p = build_profile(profile_msa())
+        assert p.counts.shape == (5, 5) and p.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            p.counts[0, 0] = 9
+        with pytest.raises(ValueError, match="column 1 counts"):
+            ProfileMatrix(((1, 0, 0, 0, 0), (1, 0, 0, 0, 1)), 1)
+
+    @given(gapped_rows(min_depth=2))
+    def test_counts_equal_string_oracle(self, rows):
+        msa = msa_of_rows(rows)
+        assert build_profile(msa).counts.tolist() == list(map(list, string_profile_counts(msa)))
+
     def test_csv_layout(self):
         lines = build_profile(profile_msa()).to_csv().splitlines()
         assert lines[0] == "symbol,0,1,2,3,4"
@@ -140,6 +163,23 @@ class TestConsensus:
         one = consensus(p, tie=TieBreak("random", 123)).residues
         two = consensus(p, tie=TieBreak("random", 123)).residues
         assert one == two
+
+    @given(gapped_rows(min_depth=2), st.integers(0, 2**32 - 1), st.booleans())
+    def test_equals_column_loop_oracle(self, rows, seed, with_companion):
+        # Same symbols in lex and random mode, and the same generator state
+        # afterwards: random draws happen in the same columns and order.
+        msa = msa_of_rows(rows)
+        companion = None
+        if with_companion:
+            companion = "".join(random.Random(seed).choice("ACGT_") for _ in range(msa.width))
+        oracle_counts = string_profile_counts(msa)
+        profile = build_profile(msa)
+        for mode in (TieBreak.LEX, TieBreak.RANDOM):
+            tie, oracle_tie = TieBreak(mode, seed), TieBreak(mode, seed)
+            got = consensus(profile, against=companion, tie=tie).residues
+            assert got == loop_consensus(oracle_counts, companion, oracle_tie)
+            if mode == TieBreak.RANDOM:
+                assert tie._rng.getstate() == oracle_tie._rng.getstate()
 
     def test_companion_length_checked(self):
         with pytest.raises(ValueError, match="length"):

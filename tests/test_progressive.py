@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,10 +14,26 @@ from promsa import (
     align_global,
     nj_build,
     progressive_align,
+    to_newick,
     upgma_build,
     verify_msa_against_inputs,
+    write_fasta,
 )
 import promsa.progressive
+
+
+# Twelve short sequences over rotated and paired letters: most consensus
+# columns of their groups are ties.
+TIE_HEAVY = (
+    "ACGTAC", "CATGCA", "GTACGT", "TGCATG", "AACCGG", "CCAAGG",
+    "GGTTAA", "TTGGCC", "ACGT", "TGCA", "AGCT", "TCGA",
+)
+
+# sha256 of the aligned FASTA followed by the Newick guide tree.
+PINNED_RANDOM_TIES = {
+    "upgma": "c5fe51839dd9bf9b56a9200753eee69e91261e1dc9f1ee87c09f6a2545b4f10f",
+    "nj": "e92ae74d9be2a48825b539781eb2c64dc27ae74b553383b29fbe62b2434bc495",
+}
 
 
 def _config(method="upgma", tie=None):
@@ -125,6 +142,15 @@ class TestProgressiveAlign:
         seqs = [Sequence(f"s{i}", random_dna(rng, 4, 30)) for i in range(6)]
         cfg = _config("upgma", TieBreak("random", 31337))
         assert progressive_align(seqs, cfg).msa == progressive_align(seqs, cfg).msa
+
+    @pytest.mark.parametrize(("method", "expected"), list(PINNED_RANDOM_TIES.items()))
+    def test_random_ties_match_pinned_hash(self, method, expected):
+        # 21 (UPGMA) and 13 (NJ) consensus columns are tied here, so the
+        # hash pins which columns draw from the generator and in what order.
+        seqs = [Sequence(f"t{i + 1}", residues) for i, residues in enumerate(TIE_HEAVY)]
+        report = progressive_align(seqs, _config(method, TieBreak("random", 7)))
+        text = write_fasta(report.msa.rows) + to_newick(report.guide_tree)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
     def test_timings_nonnegative_and_consistent(self):
         report = progressive_align(setup1_sequences(), _config())

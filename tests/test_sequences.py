@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given
 
+from helpers import first_all_gap_column, gapped_rows, msa_of_rows
 from promsa import FastaError, Msa, Sequence, parse_fasta, strip_gaps, write_fasta
 from promsa.sequences import verify_msa_against_inputs
 
@@ -42,6 +44,17 @@ class TestMsa:
     def test_all_gap_column_rejected(self):
         with pytest.raises(ValueError, match="entirely of gaps"):
             Msa((Sequence("a", "A_C"), Sequence("b", "A_G")))
+
+    @given(gapped_rows(all_gap_columns=True))
+    def test_all_gap_error_names_the_column_scan_finds_first(self, rows):
+        expected = first_all_gap_column(rows)
+        if expected is None:
+            codes = msa_of_rows(rows).codes
+            assert codes.shape == (len(rows), len(rows[0])) and not codes.flags.writeable
+            assert codes.tobytes() == "".join(rows).encode()
+        else:
+            with pytest.raises(ValueError, match=rf"^column {expected} consists entirely of gaps$"):
+                msa_of_rows(rows)
 
     def test_roundtrip_check(self):
         msa = Msa((Sequence("a", "AC_T"), Sequence("b", "ACGT")))
