@@ -1,7 +1,8 @@
 """Jukes-Cantor evolutionary distances assembled into a distance matrix.
 
 Distances are computed from Needleman-Wunsch alignments of each sequence
-pair. Columns containing a gap are excluded from the site counts, and the
+pair, whose sites are counted straight from the aligner's move string.
+Columns containing a gap are excluded from the site counts, and the
 substitution fraction feeds the Jukes-Cantor correction. Fractions at or
 beyond the model's 3/4 ceiling are clamped to a configurable maximum and
 flagged as saturated.
@@ -16,12 +17,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pairwise import PairwiseAlignment, ScoringScheme, align_global
+# Unused here since the stage counts sites itself; perfbench's tracer wraps it by this name.
+from .pairwise import PairwiseAlignment, ScoringScheme, align_global, site_counts
 from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
 
 SATURATION_P = 0.75
+
+_NO_SITES = "alignment has no gap-free columns to compare"
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ def column_stats(alignment: PairwiseAlignment) -> MatchStats:
         else:
             mismatches += 1
     if matches + mismatches == 0:
-        raise ValueError("alignment has no gap-free columns to compare")
+        raise ValueError(_NO_SITES)
     return MatchStats(matches, mismatches, matches + mismatches)
 
 
@@ -127,33 +131,39 @@ def pairwise_distance_matrix(
 ) -> DistanceMatrix:
     """Jukes-Cantor distances for every unordered pair of input sequences.
 
-    Each distinct ordered residue pair is aligned once with ``align_global``
-    under the given scoring scheme before its sites are counted; a later
-    pair with the same residues, in the same order, reuses that distance.
-    The order matters because traceback ties can resolve differently when
-    the inputs are swapped. Errors from the per-pair steps are re-raised
-    with the offending pair named, which is the first pair in row order
-    with those residues.
+    Each distinct ordered residue pair is aligned once with ``site_counts``
+    under the given scoring scheme, which counts its sites from the move
+    string; a later pair with the same residues, in the same order, reuses
+    that distance. The order matters because traceback ties can resolve
+    differently when the inputs are swapped. Errors from the per-pair steps
+    are re-raised with the offending pair named, which is the first pair in
+    row order with those residues.
     """
     ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)
-    values = np.zeros((n, n))
     residues = [seq.residues for seq in seqs]
     # A key recurs only if one of its strings does, so only those are kept.
     repeats = {r for r, count in Counter(residues).items() if count > 1}
     known: dict[tuple[str, str], float] = {}
+    upper: list[float] = []  # row-major, as np.triu_indices orders the pairs
     for i in range(n):
         for j in range(i + 1, n):
             key = (residues[i], residues[j])
             d = known.get(key)
             if d is None:
                 try:
-                    alignment = align_global(seqs[i], seqs[j], s)
-                    d = jukes_cantor(column_stats(alignment), d_max).value
+                    matches, comparable = site_counts(*key, s)
+                    if comparable == 0:
+                        raise ValueError(_NO_SITES)
+                    stats = MatchStats(matches, comparable - matches, comparable)
+                    d = jukes_cantor(stats, d_max).value
                 except ValueError as err:
                     raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
                 if key[0] in repeats or key[1] in repeats:
                     known[key] = d
-            values[i, j] = values[j, i] = d
+            upper.append(d)
+    values = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    values[rows, cols] = values[cols, rows] = upper
     return DistanceMatrix(tuple(ids), values)

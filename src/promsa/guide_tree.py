@@ -68,10 +68,11 @@ def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float,
     since removals keep its order and each new id is the largest so far, so
     among tied minima this is the smallest (i, j) pair."""
     k = len(live)
-    rows, cols = np.triu_indices(k, 1)
-    values = scores[rows, cols]
-    best = int(np.argmin(values))
-    return live[rows[best]], live[cols[best]], float(values[best]), k * (k - 1) // 2
+    # The diagonal and lower triangle read +inf, so they never win a finite
+    # minimum; np.where copies the rest bit for bit, -0.0 included.
+    masked = np.where(np.tri(k, dtype=bool), np.inf, scores)
+    row, col = divmod(int(np.argmin(masked)), k)
+    return live[row], live[col], float(masked[row, col]), k * (k - 1) // 2
 
 
 def upgma_build(m: DistanceMatrix) -> GuideTree:

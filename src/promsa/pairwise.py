@@ -231,6 +231,20 @@ def expand_by_moves(residues: str, moves: str, consume: str) -> str:
     return GAP.join(pieces)
 
 
+def site_counts(a: str, b: str, s: ScoringScheme) -> tuple[int, int]:
+    """(matches, comparable columns) of the optimal alignment of two gapless
+    strings, the columns where neither row has a gap.
+
+    Counted from the move string: every diagonal move is comparable, and a
+    column matches when its two symbols are equal, which no gap column can
+    be since neither input holds a gap.
+    """
+    _, moves = align_strings(a, b, s)
+    row_a = expand_by_moves(a, moves, DIAG + UP)
+    row_b = expand_by_moves(b, moves, DIAG + LEFT)
+    return sum(map(str.__eq__, row_a, row_b)), moves.count(DIAG)
+
+
 def align_global(
     a: Sequence | str, b: Sequence | str, s: ScoringScheme | None = None
 ) -> PairwiseAlignment:

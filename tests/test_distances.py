@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import promsa.distances
+import promsa.pairwise
 from helpers import pair_loop_distance_matrix, random_dna
 from promsa import (
     DistanceMatrix,
@@ -16,10 +16,12 @@ from promsa import (
     ScoringScheme,
     Sequence,
     align_global,
+    align_strings,
     column_stats,
     jukes_cantor,
     pairwise_distance_matrix,
 )
+from promsa.pairwise import site_counts
 
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
@@ -58,6 +60,26 @@ class TestColumnStats:
     def test_no_comparable_columns(self):
         with pytest.raises(ValueError, match="no gap-free columns"):
             column_stats(_pair("A_", "_T"))
+
+
+class TestSiteCounts:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        st.text("ACGT", min_size=1, max_size=40),
+        st.text("ACGT", min_size=1, max_size=40),
+        # (1, 1, -1) scores a match as a mismatch; (0, -5, 0) leaves
+        # mismatched pairs no gap-free column.
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 1, -1), (0, -5, 0)]),
+    )
+    def test_equals_column_stats_of_the_alignment(self, a, b, scores):
+        s = ScoringScheme(*scores)
+        try:
+            stats = column_stats(align_global(a, b, s))
+            expected = (stats.matches, stats.comparable_columns)
+        except ValueError as err:
+            assert "no gap-free columns" in str(err)
+            expected = (0, 0)
+        assert site_counts(a, b, s) == expected
 
 
 class TestJukesCantor:
@@ -140,10 +162,10 @@ class TestPairwiseDistanceMatrix:
         calls = []
 
         def counting_align(a, b, s):
-            calls.append((a.id, b.id))
-            return align_global(a, b, s)
+            calls.append((a, b))
+            return align_strings(a, b, s)
 
-        monkeypatch.setattr(promsa.distances, "align_global", counting_align)
+        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
         rng = random.Random(6)
         for n in (2, 4, 7):
             calls.clear()
@@ -156,10 +178,10 @@ class TestPairwiseDistanceMatrix:
         calls = []
 
         def counting_align(a, b, s):
-            calls.append((a.residues, b.residues))
-            return align_global(a, b, s)
+            calls.append((a, b))
+            return align_strings(a, b, s)
 
-        monkeypatch.setattr(promsa.distances, "align_global", counting_align)
+        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
         # Under the default scheme the two orders of x and y give different
         # distances, so (s1, s2) must not reuse the value of (s0, s1).
         x, y = "GAAAGTTC", "ATCGAAA"

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,6 +318,39 @@ class TestClosestPair:
         sub_u = u[live]
         scores = table[np.ix_(live, live)] - sub_u[:, None] - sub_u[None, :]
         assert _closest_pair(scores, live) == expected
+
+    def test_keeps_the_sign_of_a_negative_zero(self):
+        scores = np.array([[0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+        i, j, value, scanned = _closest_pair(scores, [3, 5, 8])
+        assert (i, j, scanned) == (3, 8, 3)
+        assert math.copysign(1.0, value) == -1.0
+
+
+def scan_closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float, int]:
+    """``_closest_pair`` as the pair-by-pair scan of ``scan_argmin_pair``."""
+    pos = {c: p for p, c in enumerate(live)}
+    return scan_argmin_pair(live, lambda i, j: scores[pos[i], pos[j]])
+
+
+@st.composite
+def tied_matrices(draw):
+    """A seeded symmetric 2-20 taxon matrix of integer distances 0-2 or
+    1-2, so most joins choose among repeated minima."""
+    n = draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(draw(st.integers(0, 1)), 3, size=(n, n)).astype(float)
+    upper = np.triu(values, 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
+
+
+class TestJoinScan:
+    @pytest.mark.parametrize("build", [upgma_build, nj_build])
+    @given(m=tied_matrices())
+    def test_build_equals_pair_scan_build(self, build, m):
+        with mock.patch("promsa.guide_tree._closest_pair", scan_closest_pair):
+            expected = build(m)
+        # repr shows every float exactly, the sign of a zero included.
+        assert repr(build(m)) == repr(expected)
 
 
 def pinned_matrix(n: int) -> DistanceMatrix:
