@@ -87,26 +87,31 @@ def jukes_cantor(stats: MatchStats, d_max: float = DEFAULT_D_MAX) -> JukesCantor
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative distances over named taxa, zero diagonal."""
+    """Symmetric nonnegative distances over named taxa, zero diagonal.
+
+    ``values`` is the matrix's own read-only, C-ordered float64 copy of
+    what the caller passed (an array or nested lists)."""
 
     taxa: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
         n = len(self.taxa)
+        values = np.array(self.values, dtype=np.float64, order="C")
         if len(set(self.taxa)) != n:
             raise ValueError("taxa ids must be distinct")
-        if self.values.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if values.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} matrix, got {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("distances must be finite")
-        if np.any(self.values < 0):
+        if np.any(values < 0):
             raise ValueError("distances must be nonnegative")
-        if np.any(np.diag(self.values) != 0):
+        if np.any(np.diag(values) != 0):
             raise ValueError("diagonal must be zero")
-        if not np.array_equal(self.values, self.values.T):
+        if not np.array_equal(values, values.T):
             raise ValueError("matrix must be symmetric")
-        self.values.setflags(write=False)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -137,8 +142,11 @@ def pairwise_distance_matrix(
     that distance. The order matters because traceback ties can resolve
     differently when the inputs are swapped. Errors from the per-pair steps
     are re-raised with the offending pair named, which is the first pair in
-    row order with those residues.
+    row order with those residues. ``d_max`` is checked before any pair is
+    aligned: it must be finite and nonnegative.
     """
+    if not (math.isfinite(d_max) and d_max >= 0):
+        raise ValueError(f"d_max must be finite and nonnegative, got {d_max!r}")
     ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)

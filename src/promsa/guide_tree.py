@@ -1,13 +1,14 @@
 """Guide trees from a distance matrix: UPGMA and neighbor-joining.
 
-Both builders work on a full symmetric distance table with a liveness list
-instead of physically deleting rows, and record every join in a merge log
-that downstream progressive merging replays. The merge log is the tree:
+Both builders work on the table of live clusters, which shrinks by one row
+and column at each join, and record every join in a merge log that
+downstream progressive merging replays. The merge log is the tree:
 serialization and path lengths loop over it, so depth sets no recursion
 limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
-and each new cluster receives the next free index. Each join is the first minimum, in row-major order, of the
-upper triangle of the live submatrix, so ties go to the smallest (i, j)
-index pair and both builders are deterministic.
+and each new cluster receives the next free index. Each join is the first
+minimum, in row-major order, of the upper triangle of the live table, so
+ties go to the smallest (i, j) index pair and both builders are
+deterministic.
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class GuideTree:
         return len(self.taxa)
 
 
-def _working_table(m: DistanceMatrix, total: int) -> np.ndarray:
-    table = np.zeros((total, total))
-    table[: m.size, : m.size] = m.values
-    return table
-
-
 def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float, int]:
     """First minimum, in row-major order, of the strict upper triangle of
     ``scores`` (the k x k table over ``live``): its two live ids, its value
@@ -75,6 +70,24 @@ def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float,
     return live[row], live[col], float(masked[row, col]), k * (k - 1) // 2
 
 
+def _join(table: np.ndarray, live: list[int], i: int, j: int, new: int, update) -> np.ndarray:
+    """Join live clusters i and j into ``new``: the live table without
+    their rows and columns, plus a last row and column holding
+    ``update(row of i, row of j)`` over the clusters kept. ``live`` drops
+    i and j and gains ``new``, the largest id so far, so it stays
+    ascending. The table is a fresh C-ordered array, since a sum over its
+    rows rounds by memory layout."""
+    pi, pj = live.index(i), live.index(j)
+    keep = np.ones(len(live), dtype=bool)
+    keep[[pi, pj]] = False
+    k = len(live) - 1
+    out = np.zeros((k, k))
+    out[:-1, :-1] = table[keep][:, keep]
+    out[-1, :-1] = out[:-1, -1] = update(table[pi, keep], table[pj, keep])
+    live[:] = [c for c, kept in zip(live, keep) if kept] + [new]
+    return out
+
+
 def upgma_build(m: DistanceMatrix) -> GuideTree:
     """Agglomerate by smallest pairwise distance with size-weighted updates.
 
@@ -86,31 +99,23 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     n = m.size
     if n < 2:
         raise ValueError("need at least two taxa")
-    total = 2 * n - 1
-    table = _working_table(m, total)
-    live = list(range(n))
-    sizes = [1] * n + [0] * (n - 1)
-    heights = [0.0] * total
+    table, live = m.values.copy(), list(range(n))
+    sizes = [1] * n
+    heights = [0.0] * n
     log: list[Merge] = []
     scanned_total = 0
 
-    for new in range(n, total):
-        i, j, dmin, scanned = _closest_pair(table[np.ix_(live, live)], live)
+    for new in range(n, 2 * n - 1):
+        i, j, dmin, scanned = _closest_pair(table, live)
         scanned_total += scanned
         if not math.isfinite(dmin):
             raise ValueError("distance table contains non-finite values")
         h = dmin / 2.0
-        left_len = h - heights[i]
-        right_len = h - heights[j]
         si, sj = sizes[i], sizes[j]
-        live.remove(i)
-        live.remove(j)
-        d = (si * table[i, live] + sj * table[j, live]) / (si + sj)
-        table[new, live] = table[live, new] = d
-        live.append(new)
-        sizes[new] = si + sj
-        heights[new] = h
-        log.append(Merge(i, j, new, dmin, left_len, right_len))
+        table = _join(table, live, i, j, new, lambda di, dj: (si * di + sj * dj) / (si + sj))
+        sizes.append(si + sj)
+        heights.append(h)
+        log.append(Merge(i, j, new, dmin, h - heights[i], h - heights[j]))
 
     return GuideTree(
         method="upgma",
@@ -122,29 +127,29 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
 
 @dataclass
 class NjWorkspace:
-    """Mutable state of a neighbor-joining run: the working distance table
-    over all cluster ids and the currently live ids."""
+    """State of a neighbor-joining run: the k x k live distance table,
+    whose rows and columns follow ``live``, the ascending live ids."""
 
     table: np.ndarray
     live: list[int]
 
     @classmethod
     def from_matrix(cls, m: DistanceMatrix) -> "NjWorkspace":
-        return cls(_working_table(m, 2 * m.size - 1), list(range(m.size)))
+        return cls(m.values.copy(), list(range(m.size)))
 
 
-def _rates(sub: np.ndarray) -> np.ndarray:
-    """Row sums of the k x k live submatrix divided by k - 2, in live order."""
-    k = len(sub)
+def _rates(table: np.ndarray) -> np.ndarray:
+    """Row sums of the k x k live table divided by k - 2, in live order."""
+    k = len(table)
     if k < 3:
         raise ValueError("rates are defined only for three or more clusters")
-    return sub.sum(axis=1) / (k - 2)
+    return table.sum(axis=1) / (k - 2)
 
 
 def nj_rates(ws: NjWorkspace) -> dict[int, float]:
     """Per-cluster rate u_i = sum of distances to the other live clusters,
     divided by (live count - 2). Recomputed fresh each iteration."""
-    return dict(zip(ws.live, _rates(ws.table[np.ix_(ws.live, ws.live)]).tolist()))
+    return dict(zip(ws.live, _rates(ws.table).tolist()))
 
 
 def nj_build(m: DistanceMatrix) -> GuideTree:
@@ -160,8 +165,7 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     n = m.size
     if n < 2:
         raise ValueError("need at least two taxa")
-    ws = NjWorkspace.from_matrix(m)
-    table, live = ws.table, ws.live
+    table, live = m.values.copy(), list(range(n))
     log: list[Merge] = []
     scanned_total = 0
     iterations = 0
@@ -169,25 +173,21 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
 
     while len(live) > 2:
         iterations += 1
-        sub = table[np.ix_(live, live)]
-        rates = _rates(sub)
-        i, j, crit, scanned = _closest_pair(sub - rates[:, None] - rates[None, :], live)
+        rates = _rates(table)
+        i, j, crit, scanned = _closest_pair(table - rates[:, None] - rates[None, :], live)
         scanned_total += scanned
         if not math.isfinite(crit):
             raise ValueError("distance table contains non-finite values")
-        u_i, u_j = float(rates[live.index(i)]), float(rates[live.index(j)])
-        dij = float(table[i, j])
+        pi, pj = live.index(i), live.index(j)
+        u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)
-        live.remove(i)
-        live.remove(j)
-        table[new, live] = table[live, new] = (table[i, live] + table[j, live] - dij) / 2.0
-        live.append(new)
+        table = _join(table, live, i, j, new, lambda di, dj: (di + dj - dij) / 2.0)
         log.append(Merge(i, j, new, crit, left_len, right_len))
         new += 1
 
     p, q = live
-    final = float(table[p, q])
+    final = float(table[0, 1])
     log.append(Merge(p, q, new, final, final / 2.0, final / 2.0, closing=True))
 
     return GuideTree(
@@ -199,11 +199,20 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     )
 
 
+def _newick_label(name: str) -> str:
+    """``name`` as is, or in single quotes with each ' doubled when it holds
+    whitespace or a character that Newick reserves."""
+    if any(c.isspace() or c in "()[]':;," for c in name):
+        return "'" + name.replace("'", "''") + "'"
+    return name
+
+
 def to_newick(tree: GuideTree, clamp_negative: bool = False) -> str:
     """Serialize with children in merge order and branch lengths as %.6f.
 
     ``clamp_negative`` replaces negative branch lengths with zero in the
-    output only; the tree itself keeps raw values.
+    output only; the tree itself keeps raw values. Labels are quoted only
+    where Newick needs it.
     """
 
     def fmt(length: float) -> str:
@@ -211,7 +220,7 @@ def to_newick(tree: GuideTree, clamp_negative: bool = False) -> str:
             length = 0.0
         return f"{length:.6f}"
 
-    pending: dict[int, str] = dict(enumerate(tree.taxa))
+    pending: dict[int, str] = dict(enumerate(map(_newick_label, tree.taxa)))
     for m in tree.merge_log:
         left, right = pending.pop(m.left), pending.pop(m.right)
         pending[m.new] = f"({left}:{fmt(m.left_length)},{right}:{fmt(m.right_length)})"

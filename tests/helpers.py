@@ -2,12 +2,15 @@
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
 align-every-pair distance loop, the column-loop profile, consensus and
 pair tally, the all-gap column scan, row-pair sum-of-pairs loops, the
-pair-by-pair guide-tree join scan, recursive guide-tree walks, a minimal
-Newick reader, and random tree/matrix generators. Everything here is
-independent of the code paths under test."""
+pair-by-pair guide-tree join scan, the guide-tree builders over a
+(2n-1)-square working table, recursive guide-tree walks, a minimal Newick
+reader, and random tree/matrix generators. Everything here is independent
+of the code paths under test, except that the working-table builders
+choose each join with the shared ``_closest_pair``."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -26,6 +29,7 @@ from promsa import (
     column_stats,
     jukes_cantor,
 )
+from promsa.guide_tree import BuildStats, GuideTree, Merge, _closest_pair
 from promsa.profiles import SYMBOL_ORDER
 
 # The seven short test sequences used throughout (degapped).
@@ -242,6 +246,97 @@ def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float, int]:
     return best_i, best_j, best, scanned
 
 
+def _working_table(m: DistanceMatrix, total: int) -> np.ndarray:
+    table = np.zeros((total, total))
+    table[: m.size, : m.size] = m.values
+    return table
+
+
+def working_table_upgma_build(m: DistanceMatrix) -> GuideTree:
+    """UPGMA over a (2n-1)-square table of every cluster id, dead rows
+    kept, gathering the live block with ``np.ix_`` at each join."""
+    n = m.size
+    if n < 2:
+        raise ValueError("need at least two taxa")
+    total = 2 * n - 1
+    table = _working_table(m, total)
+    live = list(range(n))
+    sizes = [1] * n + [0] * (n - 1)
+    heights = [0.0] * total
+    log: list[Merge] = []
+    scanned_total = 0
+
+    for new in range(n, total):
+        i, j, dmin, scanned = _closest_pair(table[np.ix_(live, live)], live)
+        scanned_total += scanned
+        if not math.isfinite(dmin):
+            raise ValueError("distance table contains non-finite values")
+        h = dmin / 2.0
+        left_len = h - heights[i]
+        right_len = h - heights[j]
+        si, sj = sizes[i], sizes[j]
+        live.remove(i)
+        live.remove(j)
+        d = (si * table[i, live] + sj * table[j, live]) / (si + sj)
+        table[new, live] = table[live, new] = d
+        live.append(new)
+        sizes[new] = si + sj
+        heights[new] = h
+        log.append(Merge(i, j, new, dmin, left_len, right_len))
+
+    return GuideTree(
+        method="upgma",
+        taxa=m.taxa,
+        merge_log=tuple(log),
+        stats=BuildStats(iterations=n - 1, pairs_scanned=scanned_total),
+    )
+
+
+def working_table_nj_build(m: DistanceMatrix) -> GuideTree:
+    """Neighbor-joining over a (2n-1)-square table of every cluster id,
+    dead rows kept, gathering the live block with ``np.ix_`` at each join."""
+    n = m.size
+    if n < 2:
+        raise ValueError("need at least two taxa")
+    table = _working_table(m, 2 * n - 1)
+    live = list(range(n))
+    log: list[Merge] = []
+    scanned_total = 0
+    iterations = 0
+    new = n
+
+    while len(live) > 2:
+        iterations += 1
+        sub = table[np.ix_(live, live)]
+        rates = sub.sum(axis=1) / (len(live) - 2)
+        i, j, crit, scanned = _closest_pair(sub - rates[:, None] - rates[None, :], live)
+        scanned_total += scanned
+        if not math.isfinite(crit):
+            raise ValueError("distance table contains non-finite values")
+        u_i, u_j = float(rates[live.index(i)]), float(rates[live.index(j)])
+        dij = float(table[i, j])
+        left_len = 0.5 * (dij + u_i - u_j)
+        right_len = 0.5 * (dij + u_j - u_i)
+        live.remove(i)
+        live.remove(j)
+        table[new, live] = table[live, new] = (table[i, live] + table[j, live] - dij) / 2.0
+        live.append(new)
+        log.append(Merge(i, j, new, crit, left_len, right_len))
+        new += 1
+
+    p, q = live
+    final = float(table[p, q])
+    log.append(Merge(p, q, new, final, final / 2.0, final / 2.0, closing=True))
+
+    return GuideTree(
+        method="nj",
+        taxa=m.taxa,
+        merge_log=tuple(log),
+        stats=BuildStats(iterations=iterations, pairs_scanned=scanned_total),
+        final_edge_length=final,
+    )
+
+
 def _merge_children(tree) -> dict:
     """Each internal cluster's ((child, branch length), ...) from the merge log."""
     return {m.new: ((m.left, m.left_length), (m.right, m.right_length)) for m in tree.merge_log}
@@ -323,6 +418,15 @@ def parse_newick(text: str):
             assert text[pos] == ")"
             pos += 1
             return tuple(children)
+        if text[pos] == "'":
+            # A quoted label ends at a lone quote; a doubled one stands for '.
+            label = []
+            pos += 1
+            while not (text[pos] == "'" and text[pos + 1 : pos + 2] != "'"):
+                label.append(text[pos])
+                pos += 2 if text[pos] == "'" else 1
+            pos += 1
+            return "".join(label)
         start = pos
         while pos < len(text) and text[pos] not in ",():":
             pos += 1

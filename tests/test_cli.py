@@ -171,6 +171,17 @@ class TestTreeCommand:
         assert lines[2] == "b,0.000000,0.000000,0.304099"
         assert out.read_text().strip() == "(c:0.152049,(a:0.000000,b:0.000000):0.152049);"
 
+    def test_ids_that_newick_reserves_are_quoted(self, tmp_path):
+        ids = ("a:1", "b,2", "c(3)", "d'4")
+        fasta = tmp_path / "ids.fasta"
+        fasta.write_text("".join(f">{i}\n{seq}\n" for i, seq in zip(ids, SETUP1)))
+        for method in ("upgma", "nj"):
+            out = tmp_path / f"{method}.nwk"
+            assert main(["tree", "--input", str(fasta), "--method", method, "--out", str(out)]) == 0
+            text = out.read_text().strip()
+            assert "'d''4'" in text
+            assert frozenset(ids) in newick_leaf_sets(parse_newick(text))
+
 
 class TestGenCommand:
     def test_small_class_bounds(self, tmp_path):

@@ -227,3 +227,44 @@ class TestPairwiseDistanceMatrix:
             pairwise_distance_matrix([Sequence("a", "AC"), Sequence("a", "GT")])
         with pytest.raises(ValueError, match="gaps"):
             pairwise_distance_matrix([Sequence("a", "A_C"), Sequence("b", "GT")])
+
+
+class TestDistanceMatrixOwnsValues:
+    def test_a_later_write_to_the_callers_array_does_not_show(self):
+        base = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dm = DistanceMatrix(("a", "b"), base[:, :])
+        base[0, 1] = base[1, 0] = 5.0
+        assert dm.between("a", "b") == 1.0
+        assert base.flags.writeable and not dm.values.flags.writeable
+
+    def test_nested_lists_are_accepted(self):
+        dm = DistanceMatrix(("a", "b", "c"), [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        assert dm.values.dtype == np.float64
+        assert dm.between("b", "c") == 3.0
+
+    def test_values_are_c_ordered_float64(self):
+        values = np.asfortranarray(np.array([[0, 2, 1], [2, 0, 4], [1, 4, 0]], dtype=np.int32))
+        dm = DistanceMatrix(("a", "b", "c"), values)
+        assert dm.values.dtype == np.float64 and dm.values.flags.c_contiguous
+        assert np.array_equal(dm.values, values)
+
+
+class TestDMaxCheck:
+    @pytest.mark.parametrize("d_max", [float("nan"), float("inf"), -1.0])
+    def test_rejected_before_any_pair_is_aligned(self, monkeypatch, d_max):
+        calls = []
+
+        def counting_align(a, b, s):
+            calls.append((a, b))
+            return align_strings(a, b, s)
+
+        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
+        # Neither pair saturates, so no distance would ever read d_max.
+        seqs = [Sequence("a", "ACGTACGT"), Sequence("b", "ACGTACGA"), Sequence("c", "ACGT")]
+        with pytest.raises(ValueError, match="d_max"):
+            pairwise_distance_matrix(seqs, d_max=d_max)
+        assert calls == []
+
+    def test_zero_is_accepted(self):
+        m = pairwise_distance_matrix([Sequence("a", "AAAA"), Sequence("b", "CCCC")], d_max=0.0)
+        assert m.between("a", "b") == 0.0

@@ -17,6 +17,8 @@ from helpers import (
     recursive_newick,
     recursive_tree_distances,
     scan_argmin_pair,
+    working_table_nj_build,
+    working_table_upgma_build,
 )
 from promsa import (
     DistanceMatrix,
@@ -466,3 +468,55 @@ class TestDeepTrees:
         for i in range(600):
             for j in range(i + 1, 600):
                 assert d[frozenset((m.taxa[i], m.taxa[j]))] == m.values[i, j]
+
+
+@st.composite
+def uniform_matrices(draw):
+    """A seeded symmetric 3-60 taxon matrix of uniform floats in [0, 1),
+    whose row sums round differently when summed in another memory order."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
+
+
+class TestLiveTable:
+    @pytest.mark.parametrize(
+        ("build", "oracle"),
+        [(upgma_build, working_table_upgma_build), (nj_build, working_table_nj_build)],
+    )
+    @given(m=tied_matrices() | uniform_matrices())
+    def test_build_equals_working_table_build(self, build, oracle, m):
+        # repr shows every float exactly, the sign of a zero included.
+        assert repr(build(m)) == repr(oracle(m))
+
+    def test_workspace_table_is_the_live_table(self):
+        ws = NjWorkspace.from_matrix(nj4_matrix())
+        assert ws.table.shape == (4, 4) and ws.table.flags.c_contiguous
+        assert ws.live == [0, 1, 2, 3]
+        assert np.array_equal(ws.table, NJ4_VALUES)
+
+
+class TestNewickLabels:
+    def test_quotes_labels_that_need_it(self):
+        taxa = ("a:1", "b,2", "c(3)", "d'4")
+        tree = nj_build(DistanceMatrix(taxa, NJ4_VALUES))
+        newick = to_newick(tree)
+        assert newick == (
+            "(('a:1':1.000000,'b,2':2.000000):2.500000,"
+            "('c(3)':3.000000,'d''4':4.000000):2.500000);"
+        )
+        sets = newick_leaf_sets(parse_newick(newick))
+        assert {frozenset(taxa[:2]), frozenset(taxa[2:]), frozenset(taxa)} <= sets
+
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "[x]", "x;y"])
+    def test_whitespace_and_brackets_are_quoted(self, label):
+        tree = upgma_build(DistanceMatrix((label, "z"), np.array([[0.0, 2.0], [2.0, 0.0]])))
+        assert to_newick(tree) == f"('{label}':1.000000,z:1.000000);"
+
+    def test_plain_labels_print_as_they_are(self):
+        taxa = ("s1", "A_b.c-d", "x|y", "n/2")
+        tree = nj_build(DistanceMatrix(taxa, NJ4_VALUES))
+        assert to_newick(tree) == (
+            "((s1:1.000000,A_b.c-d:2.000000):2.500000,(x|y:3.000000,n/2:4.000000):2.500000);"
+        )

@@ -183,6 +183,13 @@ class TestProgressiveAlign:
             )
         assert err.value.stage == "distance"
 
+    @pytest.mark.parametrize("d_max", [float("nan"), float("inf"), -1.0])
+    def test_bad_d_max_fails_the_distance_stage(self, d_max):
+        seqs = [Sequence("a", "ACGTACGT"), Sequence("b", "ACGTACGA")]
+        with pytest.raises(PipelineError, match="distance stage failed: d_max") as err:
+            progressive_align(seqs, PipelineConfig(d_max=d_max))
+        assert err.value.stage == "distance"
+
     def test_report_carries_intermediates(self):
         seqs = setup1_sequences()
         report = progressive_align(seqs, _config("nj"))
