@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datasets import CLASSES, generate_class
+from .datasets import CLASSES, generate_sequences
 from .pairwise import ScoringScheme
 from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
 from .profiles import TieBreak
@@ -73,12 +73,17 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Run every class x method x repetition cell and collect records.
 
-    ``large`` must be accompanied by user-supplied sequences; ``small``
-    and ``medium`` datasets are generated deterministically from the seed.
+    Every argument is checked before any cell runs. ``large`` needs user
+    sequences; ``small`` and ``medium`` datasets are generated from the seed.
     Rows come out in class, then method, then repetition order.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    for name in classes:
+        if name != "large" and name not in CLASSES:
+            raise ValueError(f"unknown dataset class {name!r}")
+    if "large" in classes and not large_seqs:
+        raise ValueError("the large class needs an input FASTA")
     for method in methods:
         if method not in GUIDE_METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -87,13 +92,10 @@ def run_bench(
     records: list[BenchRecord] = []
     for name in classes:
         if name == "large":
-            if not large_seqs:
-                raise ValueError("the large class needs an input FASTA")
             seqs = list(large_seqs)
-        elif name in CLASSES:
-            seqs = generate_class(CLASSES[name], seed)
         else:
-            raise ValueError(f"unknown dataset class {name!r}")
+            spec = CLASSES[name]
+            seqs = generate_sequences(spec.count, spec.min_len, spec.max_len, seed)
         for method in methods:
             cfg = PipelineConfig(guide_method=method, scoring=scoring, tie=TieBreak())
             for _ in range(reps):

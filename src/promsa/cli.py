@@ -27,15 +27,6 @@ def _add_scoring_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gap", type=int, default=-1, help="gap penalty (default -1)")
 
 
-def _add_tie_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tie",
-        choices=("lex", "random"),
-        default="lex",
-        help="tie-break policy for consensus draws (default lex)",
-    )
-
-
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed (or MSA_SEED)")
 
@@ -45,6 +36,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _names(choices: tuple[str, ...]):
+    """Argument type: a nonempty, comma-separated list of names from ``choices``."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(name.strip() for name in text.split(",") if name.strip())
+        if not names or not set(names) <= set(choices):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a list of {', '.join(choices)}")
+        return names
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--input", required=True, help="input FASTA of raw sequences")
     p_align.add_argument("--guide", choices=GUIDE_METHODS, default="upgma")
     _add_scoring_flags(p_align)
-    _add_tie_flags(p_align)
+    p_align.add_argument(
+        "--tie",
+        choices=("lex", "random"),
+        default="lex",
+        help="tie-break policy for consensus draws (default lex)",
+    )
     _add_seed_flag(p_align)
     p_align.add_argument("--out", help="aligned FASTA output (default stdout)")
     p_align.add_argument("--tree-out", help="write the guide tree as Newick")
@@ -99,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the UPGMA vs NJ comparison harness")
     p_bench.add_argument(
         "--classes",
+        type=_names((*CLASSES, "large")),
         default="small,medium",
         help="comma-separated classes: small, medium, large (default small,medium)",
     )
@@ -110,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument(
         "--methods",
+        type=_names(GUIDE_METHODS),
         default=",".join(GUIDE_METHODS),
         help="comma-separated guide methods (default upgma,nj)",
     )
@@ -190,19 +200,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    large_seqs = read_fasta_file(args.input) if args.input else None
-    if "large" in classes and large_seqs is None:
-        raise ValueError("the large class needs --input <fasta>")
     records = run_bench(
-        classes,
+        args.classes,
         reps=args.reps,
-        seed=seed,
-        methods=methods,
+        seed=_resolve_seed(args),
+        methods=args.methods,
         scoring=ScoringScheme(args.match, args.mismatch, args.gap),
-        large_seqs=large_seqs,
+        large_seqs=read_fasta_file(args.input) if args.input else None,
     )
     _write_text(args.out, records_to_csv(records))
     print(summarize(records))

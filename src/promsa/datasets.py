@@ -40,9 +40,3 @@ def generate_sequences(count: int, min_len: int, max_len: int, seed: int) -> lis
         residues = "".join(rng.choice(ALPHABET) for _ in range(length))
         out.append(Sequence(f"seq{index}", residues))
     return out
-
-
-def generate_class(dataset_class: DatasetClass, seed: int) -> list[Sequence]:
-    return generate_sequences(
-        dataset_class.count, dataset_class.min_len, dataset_class.max_len, seed
-    )

@@ -85,12 +85,12 @@ def jukes_cantor(stats: MatchStats, d_max: float = DEFAULT_D_MAX) -> JukesCantor
     return JukesCantorResult(-0.75 * math.log(1.0 - (4.0 / 3.0) * p), False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative distances over named taxa, zero diagonal.
 
-    ``values`` is the matrix's own read-only, C-ordered float64 copy of
-    what the caller passed (an array or nested lists)."""
+    ``taxa`` is a tuple, ``values`` the matrix's own read-only C-ordered
+    float64 copy of the caller's array or lists; matrices compare by identity."""
 
     taxa: tuple[str, ...]
     values: np.ndarray
@@ -111,6 +111,7 @@ class DistanceMatrix:
         if not np.array_equal(values, values.T):
             raise ValueError("matrix must be symmetric")
         values.flags.writeable = False
+        object.__setattr__(self, "taxa", tuple(self.taxa))
         object.__setattr__(self, "values", values)
 
     @property

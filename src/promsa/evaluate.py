@@ -9,6 +9,7 @@ pairs, so they cost O(width) whatever the depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .pairwise import ScoringScheme
@@ -19,14 +20,15 @@ from .sequences import Msa
 @dataclass(frozen=True)
 class CostScheme:
     """Per-column pair costs: match and gap-gap are free, mismatches and
-    residue-against-gap columns pay the configured nonnegative amounts."""
+    residue-against-gap columns pay the configured finite, nonnegative amounts."""
 
     mismatch_cost: float = 1.0
     gap_letter_cost: float = 1.0
 
     def __post_init__(self):
-        if self.mismatch_cost < 0 or self.gap_letter_cost < 0:
-            raise ValueError("costs must be nonnegative")
+        # NaN fails every comparison, so this also rejects it.
+        if not all(0 <= cost < math.inf for cost in (self.mismatch_cost, self.gap_letter_cost)):
+            raise ValueError("costs must be finite and nonnegative")
 
 
 def _pair_counts(msa: Msa) -> tuple[int, int, int]:

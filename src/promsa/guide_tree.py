@@ -70,14 +70,13 @@ def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float,
     return live[row], live[col], float(masked[row, col]), k * (k - 1) // 2
 
 
-def _join(table: np.ndarray, live: list[int], i: int, j: int, new: int, update) -> np.ndarray:
-    """Join live clusters i and j into ``new``: the live table without
-    their rows and columns, plus a last row and column holding
-    ``update(row of i, row of j)`` over the clusters kept. ``live`` drops
-    i and j and gains ``new``, the largest id so far, so it stays
-    ascending. The table is a fresh C-ordered array, since a sum over its
-    rows rounds by memory layout."""
-    pi, pj = live.index(i), live.index(j)
+def _join(table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update) -> np.ndarray:
+    """Join the live clusters at table positions pi and pj into ``new``:
+    the live table without their rows and columns, plus a last row and
+    column holding ``update(row pi, row pj)`` over the clusters kept.
+    ``live`` drops both and gains ``new``, the largest id so far, so it
+    stays ascending. The table is a fresh C-ordered array, since a sum
+    over its rows rounds by memory layout."""
     keep = np.ones(len(live), dtype=bool)
     keep[[pi, pj]] = False
     k = len(live) - 1
@@ -112,7 +111,8 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
             raise ValueError("distance table contains non-finite values")
         h = dmin / 2.0
         si, sj = sizes[i], sizes[j]
-        table = _join(table, live, i, j, new, lambda di, dj: (si * di + sj * dj) / (si + sj))
+        pi, pj = live.index(i), live.index(j)
+        table = _join(table, live, pi, pj, new, lambda di, dj: (si * di + sj * dj) / (si + sj))
         sizes.append(si + sj)
         heights.append(h)
         log.append(Merge(i, j, new, dmin, h - heights[i], h - heights[j]))
@@ -182,7 +182,7 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)
-        table = _join(table, live, i, j, new, lambda di, dj: (di + dj - dij) / 2.0)
+        table = _join(table, live, pi, pj, new, lambda di, dj: (di + dj - dij) / 2.0)
         log.append(Merge(i, j, new, crit, left_len, right_len))
         new += 1
 
@@ -230,14 +230,9 @@ def to_newick(tree: GuideTree, clamp_negative: bool = False) -> str:
 def leaf_order(tree: GuideTree) -> list[str]:
     """Taxa in the order the merge log absorbs them, earliest join first."""
     n = tree.n_leaves
-    order: list[str] = []
-    seen: set[int] = set()
-    for merge in tree.merge_log:
-        for idx in (merge.left, merge.right):
-            if idx < n and idx not in seen:
-                seen.add(idx)
-                order.append(tree.taxa[idx])
-    return order
+    return [
+        tree.taxa[idx] for merge in tree.merge_log for idx in (merge.left, merge.right) if idx < n
+    ]
 
 
 def tree_distances(tree: GuideTree) -> dict[frozenset, float]:

@@ -159,8 +159,8 @@ def build_dp_matrix(a: Sequence | str, b: Sequence | str, s: ScoringScheme) -> D
     of ``a`` with the first j residues of ``b``; the corner cell is the
     optimal global alignment score.
     """
-    sa = _residues(a, "a")
-    sb = _residues(b, "b")
+    sa = _parts(a, "a")[1]
+    sb = _parts(b, "b")[1]
     flat = _fill(sa, sb, s)
     width = len(sb) + 1
     gap = s.gap_penalty
@@ -273,7 +273,3 @@ def _parts(seq: Sequence | str, fallback_id: str) -> tuple[str, str, str]:
     if GAP in seq or "-" in seq:
         raise ValueError("input string contains gaps")
     return fallback_id, seq, ""
-
-
-def _residues(seq: Sequence | str, fallback_id: str) -> str:
-    return _parts(seq, fallback_id)[1]

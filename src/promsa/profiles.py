@@ -13,7 +13,7 @@ becomes a full gap column in the corresponding group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +31,7 @@ _SYMBOL_INDEX[_SYMBOL_CODES] = np.arange(len(SYMBOL_ORDER))
 CONSENSUS_ID = "consensus"
 
 
+@dataclass(frozen=True)
 class TieBreak:
     """Choice among tied consensus symbols: lexicographic or seeded-random.
 
@@ -38,18 +39,22 @@ class TieBreak:
     gap and makes the whole pipeline bit-reproducible. The random mode
     draws from a private generator seeded at construction, so runs with
     the same seed reproduce each other. ``fresh()`` returns an unused copy
-    with the same configuration.
+    with the same configuration. Policies compare and hash by mode and
+    seed, whatever their generators have drawn.
     """
 
     LEX = "lex"
     RANDOM = "random"
 
-    def __init__(self, mode: str = LEX, seed: int = 0):
-        if mode not in (self.LEX, self.RANDOM):
-            raise ValueError(f"unknown tie-break mode {mode!r}")
-        self.mode = mode
-        self.seed = seed
-        self._rng = random.Random(seed) if mode == self.RANDOM else None
+    mode: str = LEX
+    seed: int = 0
+    _rng: random.Random | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode not in (self.LEX, self.RANDOM):
+            raise ValueError(f"unknown tie-break mode {self.mode!r}")
+        rng = random.Random(self.seed) if self.mode == self.RANDOM else None
+        object.__setattr__(self, "_rng", rng)
 
     def fresh(self) -> "TieBreak":
         return TieBreak(self.mode, self.seed)
@@ -61,9 +66,6 @@ class TieBreak:
         if len(ordered) == 1 or self.mode == self.LEX:
             return ordered[0]
         return self._rng.choice(ordered)
-
-    def __repr__(self):
-        return f"TieBreak(mode={self.mode!r}, seed={self.seed!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +164,18 @@ def consensus(
     return Sequence(CONSENSUS_ID, out.tobytes().decode("ascii"))
 
 
-def _expand_rows(rows: tuple[Sequence, ...], moves: str, consume: str) -> list[Sequence]:
-    return [
+def _merge(
+    rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str, s: ScoringScheme
+) -> Msa:
+    """Align ``c1`` and ``c2``, which stand for ``rows1`` and ``rows2`` (a
+    consensus, or a lone row itself), and put both row sets on the joint
+    columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows."""
+    _, moves = align_strings(c1, c2, s)
+    return Msa(tuple(
         Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
+        for rows, consume in ((rows1, DIAG + UP), (rows2, DIAG + LEFT))
         for row in rows
-    ]
+    ))
 
 
 def align_sequence_to_profile(
@@ -185,12 +194,7 @@ def align_sequence_to_profile(
         raise ValueError(f"newcomer {newcomer.id!r} must be gapless")
     s = s if s is not None else ScoringScheme()
     cons = consensus(build_profile(group), tie=tie)
-    _, moves = align_strings(cons.residues, newcomer.residues, s)
-    rows = _expand_rows(group.rows, moves, DIAG + UP)
-    new_row = Sequence(
-        newcomer.id, expand_by_moves(newcomer.residues, moves, DIAG + LEFT), newcomer.description
-    )
-    return Msa(tuple(rows) + (new_row,))
+    return _merge(group.rows, cons.residues, (newcomer,), newcomer.residues, s)
 
 
 def align_profile_to_profile(
@@ -208,7 +212,4 @@ def align_profile_to_profile(
     tie = tie if tie is not None else TieBreak()
     c1 = consensus(build_profile(g1), tie=tie)
     c2 = consensus(build_profile(g2), tie=tie)
-    _, moves = align_strings(c1.residues, c2.residues, s)
-    rows = _expand_rows(g1.rows, moves, DIAG + UP)
-    rows += _expand_rows(g2.rows, moves, DIAG + LEFT)
-    return Msa(tuple(rows))
+    return _merge(g1.rows, c1.residues, g2.rows, c2.residues, s)

@@ -8,6 +8,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,9 @@ ALPHABET = "ACGT"
 SYMBOLS = ALPHABET + GAP
 
 FASTA_LINE_WIDTH = 60
+
+_LINE_END = r"\r\n?|\n"  # str.splitlines also breaks at \f, \v, \x85, \u2028 and more
+_LINE = re.compile(rf"[^\r\n]*(?:{_LINE_END})|[^\r\n]+")
 
 
 class FastaError(ValueError):
@@ -156,7 +160,7 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
 
     Lowercase residues are normalized to uppercase. Gap glyphs ``-`` and
     ``_`` are accepted only when ``allow_gaps`` is set, and are stored as
-    the internal gap symbol. CRLF input is accepted.
+    the internal gap symbol. Lines end at LF, CRLF or a lone CR only.
 
     Raises FastaError on empty input, a record with an empty body, an
     illegal character or bytes that are not UTF-8 (both reported with line
@@ -166,7 +170,7 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
-            line = text.count(b"\n", 0, err.start) + 1
+            line = len(re.findall(_LINE_END.encode(), text[: err.start])) + 1
             raise FastaError("input is not valid UTF-8", line, err.start) from None
     if not text.strip():
         raise FastaError("empty FASTA input")
@@ -186,7 +190,7 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
         records.append(Sequence(seq_id, "".join(body), description))
 
     offset = 0
-    for lineno, raw_line in enumerate(text.splitlines(keepends=True), start=1):
+    for lineno, raw_line in enumerate(_LINE.findall(text), start=1):
         line = raw_line.rstrip("\r\n")
         if line.startswith(">"):
             flush()

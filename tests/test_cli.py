@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+import promsa.bench
 from helpers import SETUP1, newick_leaf_sets, parse_newick
 from promsa import ScoringScheme, align_global, parse_fasta
 from promsa.bench import BENCH_CSV_HEADER
@@ -260,10 +261,36 @@ class TestBenchCommand:
         assert "--reps" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("flag", "value"), [("--methods", "foo"), ("--classes", "foo"), ("--classes", ",")]
+    )
+    def test_bad_name_list_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, value, "--out", str(tmp_path / "b.csv")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_large_class_requires_input(self, tmp_path, capsys):
         code = main(["bench", "--classes", "large", "--out", str(tmp_path / "b.csv")])
         assert code == 1
         assert "large" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_bench_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bench cell ran")
+
+        monkeypatch.setattr(promsa.bench, "progressive_align", no_run)
+
+    def test_large_class_without_input_fails_before_any_run(self, tmp_path, capsys, no_bench_runs):
+        code = main(["bench", "--classes", "small,large", "--out", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "large" in capsys.readouterr().err
+
+    def test_run_bench_checks_class_names_before_any_run(self, no_bench_runs):
+        with pytest.raises(ValueError, match="unknown dataset class 'tiny'"):
+            promsa.bench.run_bench(["small", "tiny"], reps=1, seed=0)
 
     def test_large_class_with_input(self, tmp_path, capsys):
         fasta = write_setup1(tmp_path / "in.fasta")

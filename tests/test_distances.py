@@ -20,6 +20,7 @@ from promsa import (
     column_stats,
     jukes_cantor,
     pairwise_distance_matrix,
+    upgma_build,
 )
 from promsa.pairwise import site_counts
 
@@ -247,6 +248,23 @@ class TestDistanceMatrixOwnsValues:
         dm = DistanceMatrix(("a", "b", "c"), values)
         assert dm.values.dtype == np.float64 and dm.values.flags.c_contiguous
         assert np.array_equal(dm.values, values)
+
+
+class TestDistanceMatrixIdentity:
+    def test_equality_is_a_bool_by_identity(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a, b = DistanceMatrix(("a", "b"), values), DistanceMatrix(("a", "b"), values)
+        assert a == a
+        assert (a == b) is False
+
+    def test_hashable(self):
+        dm = DistanceMatrix(("a", "b"), np.zeros((2, 2)))
+        assert {dm: 1}[dm] == 1
+
+    def test_taxa_list_is_stored_as_a_tuple(self):
+        dm = DistanceMatrix(["a", "b"], np.zeros((2, 2)))
+        assert dm.taxa == ("a", "b")
+        assert upgma_build(dm).taxa == ("a", "b")
 
 
 class TestDMaxCheck:

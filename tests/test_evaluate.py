@@ -38,6 +38,12 @@ class TestCostScheme:
         with pytest.raises(ValueError):
             CostScheme(mismatch_cost=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["mismatch_cost", "gap_letter_cost"])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            CostScheme(**{field: bad})
+
 
 class TestSpTotalCost:
     def test_all_matches_cost_zero(self):

@@ -74,6 +74,15 @@ class TestTieBreak:
         with pytest.raises(ValueError):
             TieBreak("coin-flip")
 
+    @pytest.mark.parametrize(("mode", "seed"), [("lex", 0), ("random", 7)])
+    def test_equal_mode_and_seed_compare_and_hash_equal(self, mode, seed):
+        used, unused = TieBreak(mode, seed), TieBreak(mode, seed)
+        used.choose("ACGT")
+        assert used == unused == used.fresh()
+        assert hash(used) == hash(unused)
+        assert repr(used) == f"TieBreak(mode={mode!r}, seed={seed})"
+        assert TieBreak(mode, seed + 1) != unused
+
 
 class TestBuildProfile:
     def test_reference_frequencies(self):

@@ -45,6 +45,21 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(guide_method="parsimony")
 
+    def test_equal_settings_compare_and_hash_equal(self):
+        assert PipelineConfig() == PipelineConfig()
+        assert hash(PipelineConfig()) == hash(PipelineConfig())
+        used = _config("nj", TieBreak("random", 3))
+        progressive_align(setup1_sequences(), used)
+        assert used == _config("nj", TieBreak("random", 3))
+        assert hash(used) == hash(_config("nj", TieBreak("random", 3)))
+        assert used != _config("nj", TieBreak("random", 4))
+
+    def test_reports_of_separate_runs_compare_without_error(self):
+        first = progressive_align(setup1_sequences(), _config())
+        second = progressive_align(setup1_sequences(), _config())
+        assert first == first
+        assert (first == second) is False
+
 
 class TestMergeSchedule:
     def test_schedule_mirrors_merge_log(self):

@@ -132,6 +132,24 @@ class TestParseFasta:
         seqs = parse_fasta(b">a\r\nACGT\r\n")
         assert seqs[0].residues == "ACGT"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_only_at_lf_crlf_or_cr(self, end):
+        text = end.join([">a", "AC\x0cGT", ">b", "AXGT", ""])
+        with pytest.raises(FastaError) as info:
+            parse_fasta(text)
+        assert info.value.line == 4
+        assert info.value.offset == text.index("X")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_header_separator_is_not_a_line_end(self, sep):
+        seq = parse_fasta(f">a{sep}first read\nACGT\n")[0]
+        assert (seq.id, seq.description, seq.residues) == ("a", "first read", "ACGT")
+
+    def test_invalid_utf8_line_counts_cr_line_ends(self):
+        with pytest.raises(FastaError) as info:
+            parse_fasta(b">a\rAC\rG\xffT\r")
+        assert (info.value.line, info.value.offset) == (3, 7)
+
     def test_description_kept_separate(self):
         seq = parse_fasta(">a some description here\nACGT\n")[0]
         assert seq.id == "a"
