@@ -1,24 +1,32 @@
 """Jukes-Cantor evolutionary distances assembled into a distance matrix.
 
-Distances are computed from Needleman-Wunsch alignments of each sequence
-pair, whose sites are counted straight from the aligner's move string.
-Columns containing a gap are excluded from the site counts, and the
-substitution fraction feeds the Jukes-Cantor correction. Fractions at or
-beyond the model's 3/4 ceiling are clamped to a configurable maximum and
-flagged as saturated.
+Distances are computed from Needleman-Wunsch alignments of each distinct
+ordered pair of residue strings, whose sites are counted for many pairs at
+once by ``pairwise.batch_site_counts``: short pairs as lanes of one grid,
+the rest from each pair's move string. Columns containing a gap are
+excluded from the site counts, and the substitution fraction feeds the
+Jukes-Cantor correction. Fractions at or beyond the model's 3/4 ceiling
+are clamped to a configurable maximum and flagged as saturated.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .pairwise import (
+    MAX_DP_CELLS,
+    PairwiseAlignment,
+    ScoringScheme,
+    batch_site_counts,
+    check_dp_cells,
+)
+
 # Unused here since the stage counts sites itself; perfbench's tracer wraps it by this name.
-from .pairwise import PairwiseAlignment, ScoringScheme, align_global, site_counts
+from .pairwise import align_global
 from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
@@ -78,11 +86,16 @@ def jukes_cantor(stats: MatchStats, d_max: float = DEFAULT_D_MAX) -> JukesCantor
     the result is clamped to ``d_max`` and flagged saturated.
     """
     p = stats.mismatch_fraction
+    return JukesCantorResult(_jukes_cantor_value(p, d_max), p >= SATURATION_P)
+
+
+def _jukes_cantor_value(p: float, d_max: float) -> float:
+    """The Jukes-Cantor distance at mismatch fraction p, ``d_max`` from 3/4 up."""
     if p >= SATURATION_P:
-        return JukesCantorResult(d_max, True)
+        return d_max
     if p == 0:
-        return JukesCantorResult(0.0, False)  # the formula gives -0.0 here
-    return JukesCantorResult(-0.75 * math.log(1.0 - (4.0 / 3.0) * p), False)
+        return 0.0  # the formula gives -0.0 here
+    return -0.75 * math.log(1.0 - (4.0 / 3.0) * p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +150,18 @@ def pairwise_distance_matrix(
 ) -> DistanceMatrix:
     """Jukes-Cantor distances for every unordered pair of input sequences.
 
-    Each distinct ordered residue pair is aligned once with ``site_counts``
-    under the given scoring scheme, which counts its sites from the move
-    string; a later pair with the same residues, in the same order, reuses
-    that distance. The order matters because traceback ties can resolve
-    differently when the inputs are swapped. Errors from the per-pair steps
-    are re-raised with the offending pair named, which is the first pair in
-    row order with those residues. ``d_max`` is checked before any pair is
-    aligned: it must be finite and nonnegative.
+    Each distinct ordered residue pair is aligned once under the given
+    scoring scheme; a later pair with the same residues, in the same
+    order, reuses that distance. The order matters because traceback ties
+    can resolve differently when the inputs are swapped. The pairs are
+    counted together by ``batch_site_counts``, which fills many short pairs
+    as lanes of one grid and the rest one by one with ``site_counts``.
+
+    Errors are those of a pair-by-pair loop in row order: the first pair
+    whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free
+    column is named, and no pair after one over the budget is aligned.
+    ``d_max`` is checked before any pair is aligned: it must be finite and
+    nonnegative.
     """
     if not (math.isfinite(d_max) and d_max >= 0):
         raise ValueError(f"d_max must be finite and nonnegative, got {d_max!r}")
@@ -152,27 +169,34 @@ def pairwise_distance_matrix(
     s = s if s is not None else ScoringScheme()
     n = len(seqs)
     residues = [seq.residues for seq in seqs]
-    # A key recurs only if one of its strings does, so only those are kept.
-    repeats = {r for r, count in Counter(residues).items() if count > 1}
-    known: dict[tuple[str, str], float] = {}
-    upper: list[float] = []  # row-major, as np.triu_indices orders the pairs
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (residues[i], residues[j])
-            d = known.get(key)
-            if d is None:
-                try:
-                    matches, comparable = site_counts(*key, s)
-                    if comparable == 0:
-                        raise ValueError(_NO_SITES)
-                    stats = MatchStats(matches, comparable - matches, comparable)
-                    d = jukes_cantor(stats, d_max).value
-                except ValueError as err:
-                    raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
-                if key[0] in repeats or key[1] in repeats:
-                    known[key] = d
-            upper.append(d)
+    # Number the distinct residue strings, then the distinct ordered keys.
+    string_ids: dict[str, int] = {}
+    string_of = np.array([string_ids.setdefault(r, len(string_ids)) for r in residues])
+    strings = list(string_ids)
+    rows, cols = np.triu_indices(n, 1)  # every pair, in row order
+    keys, first, key_of_pair = np.unique(
+        string_of[rows] * len(strings) + string_of[cols], return_index=True, return_inverse=True
+    )
+    key_a, key_b = np.divmod(keys, len(strings))
+    lengths = np.array([len(r) for r in strings])
+    over = (lengths[key_a] + 1) * (lengths[key_b] + 1) > MAX_DP_CELLS
+    # A pair-by-pair loop would stop at the first pair over the budget.
+    todo = np.flatnonzero(first < first[over].min(initial=len(rows)))
+    matches = np.zeros(len(keys), dtype=np.int64)
+    comparable = np.zeros(len(keys), dtype=np.int64)
+    matches[todo], comparable[todo] = batch_site_counts(
+        [(strings[a], strings[b]) for a, b in zip(key_a[todo].tolist(), key_b[todo].tolist())], s
+    )
+    failed = np.flatnonzero(comparable[key_of_pair] == 0)
+    if failed.size:
+        i, j = rows[failed[0]], cols[failed[0]]
+        try:
+            check_dp_cells(len(residues[i]), len(residues[j]))
+            raise ValueError(_NO_SITES)  # within the budget, so it was aligned
+        except ValueError as err:
+            raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
+    fractions = (comparable - matches) / comparable
+    distances = np.array([_jukes_cantor_value(p, d_max) for p in fractions.tolist()])
     values = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, 1)
-    values[rows, cols] = values[cols, rows] = upper
+    values[rows, cols] = values[cols, rows] = distances[key_of_pair]
     return DistanceMatrix(tuple(ids), values)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import promsa.distances
 import promsa.pairwise
 from helpers import pair_loop_distance_matrix, random_dna
 from promsa import (
@@ -22,7 +23,7 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
-from promsa.pairwise import site_counts
+from promsa.pairwise import _LANE_MIN, batch_site_counts, site_counts
 
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
@@ -83,6 +84,58 @@ class TestSiteCounts:
         assert site_counts(a, b, s) == expected
 
 
+# DNA, a two-letter alphabet, and code points beyond ASCII and the BMP.
+ALPHABETS = ("ACGT", "AB", "é\u0416\U0001f600\U00010348")
+
+
+class TestBatchSiteCounts:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda alphabet: st.lists(
+                st.tuples(*[st.text(alphabet, min_size=1, max_size=40)] * 2),
+                min_size=1,
+                max_size=30,
+            )
+        ),
+        # (1, 1, -1) scores a match as a mismatch; (0, -5, 0) leaves
+        # mismatched pairs no gap-free column; the last needs an int64 grid.
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 1, -1), (0, -5, 0), (2**31, 0, -1)]),
+        # A cap of one cell makes every chunk a single lane.
+        st.sampled_from([1, 200, 3000, 2**16]),
+        st.sampled_from([1, 3]),
+    )
+    def test_equals_site_counts_pair_by_pair(self, pairs, scores, cap, lane_min):
+        s = ScoringScheme(*scores)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(promsa.pairwise, "_LANE_CELLS", cap)
+            mp.setattr(promsa.pairwise, "_LANE_MIN", lane_min)
+            matches, comparable = batch_site_counts(pairs, s)
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(a, b, s) for a, b in pairs
+        ]
+
+    def test_lane_minimum_decides_the_path(self, monkeypatch):
+        calls = []
+
+        def counting_align(a, b, s):
+            calls.append((a, b))
+            return align_strings(a, b, s)
+
+        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
+        rng = random.Random(11)
+        pairs = [(random_dna(rng, 8, 16), random_dna(rng, 8, 16)) for _ in range(_LANE_MIN)]
+        batch_site_counts(pairs[:-1], ScoringScheme())
+        assert len(calls) == _LANE_MIN - 1
+        calls.clear()
+        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        assert calls == []
+        monkeypatch.undo()
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(a, b, ScoringScheme()) for a, b in pairs
+        ]
+
+
 class TestJukesCantor:
     def test_zero_distance_at_zero_mismatches(self):
         result = jukes_cantor(MatchStats(10, 0, 10))
@@ -122,6 +175,18 @@ class TestJukesCantor:
             p = k / n
             expected = -0.75 * math.log(1 - 4.0 * p / 3.0)
             assert jukes_cantor(MatchStats(n - k, k, n)).value == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def batched_inputs(draw) -> list[Sequence]:
+    """At least 12 distinct strings of at most 20 nt, plus repeats: their
+    66 or more distinct ordered pairs put at least one chunk of 64 or more
+    on the lane-major path."""
+    strings = st.text("ACGT", min_size=1, max_size=20)
+    pool = draw(st.lists(strings, min_size=12, max_size=16, unique=True))
+    picks = pool + draw(st.lists(st.sampled_from(pool), max_size=6))
+    picks = draw(st.permutations(picks))
+    return [Sequence(f"s{i}", residues) for i, residues in enumerate(picks)]
 
 
 class TestDistanceMatrix:
@@ -212,6 +277,47 @@ class TestPairwiseDistanceMatrix:
                 return str(err)
 
         assert outcome(pairwise_distance_matrix) == outcome(pair_loop_distance_matrix)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        batched_inputs(),
+        # The last scheme leaves mismatched pairs no gap-free column.
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (0, -5, 0)]),
+        st.sampled_from([10.0, 0.5]),
+        # Small budgets put some pairs over it, at any place in row order.
+        st.sampled_from([None, 150, 300]),
+    )
+    def test_matches_pair_loop_oracle_above_the_lane_minimum(self, seqs, scores, d_max, budget):
+        s = ScoringScheme(*scores)
+
+        def outcome(distance_matrix):
+            try:
+                return distance_matrix(seqs, s, d_max).values.tobytes()
+            except ValueError as err:
+                return str(err)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(promsa.pairwise, "MAX_DP_CELLS", budget)
+                mp.setattr(promsa.distances, "MAX_DP_CELLS", budget)
+            assert outcome(pairwise_distance_matrix) == outcome(pair_loop_distance_matrix)
+
+    def test_no_per_pair_alignment_above_the_lane_minimum(self, monkeypatch):
+        calls = []
+
+        def counting_align(a, b, s):
+            calls.append((a, b))
+            return align_strings(a, b, s)
+
+        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
+        rng = random.Random(12)
+        seqs = [Sequence(f"s{i}", random_dna(rng, 12, 12)) for i in range(16)]
+        assert len(seqs) * (len(seqs) - 1) // 2 >= _LANE_MIN
+        m = pairwise_distance_matrix(seqs)
+        assert calls == []
+        monkeypatch.undo()
+        oracle = pair_loop_distance_matrix(seqs, ScoringScheme(), 10.0)
+        assert m.values.tobytes() == oracle.values.tobytes()
 
     def test_errors_name_the_pair(self):
         # a zero gap penalty with a harsh mismatch makes the aligner prefer
