@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .datasets import CLASSES, generate_sequences
 from .pairwise import ScoringScheme
 from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
-from .profiles import TieBreak
 from .sequences import Sequence
 
 BENCH_CSV_HEADER = (
@@ -97,7 +96,7 @@ def run_bench(
             spec = CLASSES[name]
             seqs = generate_sequences(spec.count, spec.min_len, spec.max_len, seed)
         for method in methods:
-            cfg = PipelineConfig(guide_method=method, scoring=scoring, tie=TieBreak())
+            cfg = PipelineConfig(guide_method=method, scoring=scoring)
             for _ in range(reps):
                 report = progressive_align(seqs, cfg)
                 records.append(BenchRecord.from_report(method, seqs, report, seed))

@@ -22,9 +22,13 @@ from .sequences import Msa, read_fasta_file, verify_msa_against_inputs, write_fa
 
 
 def _add_scoring_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--match", type=int, default=3, help="match score (default 3)")
-    parser.add_argument("--mismatch", type=int, default=0, help="mismatch score (default 0)")
-    parser.add_argument("--gap", type=int, default=-1, help="gap penalty (default -1)")
+    default = ScoringScheme()
+    for flag, value, what in (
+        ("--match", default.match_score, "match score"),
+        ("--mismatch", default.mismatch_score, "mismatch score"),
+        ("--gap", default.gap_penalty, "gap penalty"),
+    ):
+        parser.add_argument(flag, type=int, default=value, help=f"{what} (default %(default)s)")
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
@@ -64,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scoring_flags(p_align)
     p_align.add_argument(
         "--tie",
-        choices=("lex", "random"),
-        default="lex",
-        help="tie-break policy for consensus draws (default lex)",
+        choices=(TieBreak.LEX, TieBreak.RANDOM),
+        default=TieBreak().mode,
+        help="tie-break policy for consensus draws (default %(default)s)",
     )
     _add_seed_flag(p_align)
     p_align.add_argument("--out", help="aligned FASTA output (default stdout)")
@@ -150,7 +154,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_align(args) -> int:
     seed = _resolve_seed(args)
-    if args.seed is not None and args.tie != "random":
+    if args.seed is not None and args.tie != TieBreak.RANDOM:
         print("warning: --seed has no effect unless --tie random", file=sys.stderr)
     seqs = read_fasta_file(args.input)
     cfg = PipelineConfig(

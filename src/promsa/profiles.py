@@ -19,9 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from .pairwise import DIAG, LEFT, UP, ScoringScheme, align_strings, expand_by_moves
-from .sequences import GAP, Msa, Sequence
+from .sequences import GAP, SYMBOLS, Msa, Sequence
 
-SYMBOL_ORDER = "ACGT" + GAP
+SYMBOL_ORDER = SYMBOLS
 
 # ASCII codes of SYMBOL_ORDER, and the position in SYMBOL_ORDER of each code.
 _SYMBOL_CODES = np.frombuffer(SYMBOL_ORDER.encode("ascii"), dtype=np.uint8)
@@ -165,12 +165,13 @@ def consensus(
 
 
 def _merge(
-    rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str, s: ScoringScheme
+    rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
+    s: ScoringScheme | None,
 ) -> Msa:
     """Align ``c1`` and ``c2``, which stand for ``rows1`` and ``rows2`` (a
     consensus, or a lone row itself), and put both row sets on the joint
     columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows."""
-    _, moves = align_strings(c1, c2, s)
+    _, moves = align_strings(c1, c2, s if s is not None else ScoringScheme())
     return Msa(tuple(
         Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
         for rows, consume in ((rows1, DIAG + UP), (rows2, DIAG + LEFT))
@@ -192,7 +193,6 @@ def align_sequence_to_profile(
     """
     if not newcomer.is_gapless:
         raise ValueError(f"newcomer {newcomer.id!r} must be gapless")
-    s = s if s is not None else ScoringScheme()
     cons = consensus(build_profile(group), tie=tie)
     return _merge(group.rows, cons.residues, (newcomer,), newcomer.residues, s)
 
@@ -208,8 +208,6 @@ def align_profile_to_profile(
     Gaps inserted into either consensus become gap columns in that group;
     the second group's rows follow the first's.
     """
-    s = s if s is not None else ScoringScheme()
-    tie = tie if tie is not None else TieBreak()
     c1 = consensus(build_profile(g1), tie=tie)
     c2 = consensus(build_profile(g2), tie=tie)
     return _merge(g1.rows, c1.residues, g2.rows, c2.residues, s)

@@ -115,10 +115,9 @@ def progressive_align(
                 merged = align_global(left, right, cfg.scoring).to_msa()
             elif isinstance(left, Msa) and isinstance(right, Msa):
                 merged = align_profile_to_profile(left, right, cfg.scoring, tie)
-            elif isinstance(left, Msa):
-                merged = align_sequence_to_profile(left, right, cfg.scoring, tie)
-            else:
-                merged = align_sequence_to_profile(right, left, cfg.scoring, tie)
+            else:  # a group stays first when it meets a lone row
+                group, lone = (left, right) if isinstance(left, Msa) else (right, left)
+                merged = align_sequence_to_profile(group, lone, cfg.scoring, tie)
             groups[step.new] = merged
         (alignment,) = groups.values()
         by_id = {row.id: row for row in alignment.rows}

@@ -232,10 +232,12 @@ def write_fasta(seqs: list[Sequence] | tuple[Sequence, ...]) -> str:
     """Render sequences as FASTA text: gaps as '-', 60-column wrapping, LF."""
     chunks: list[str] = []
     for seq in seqs:
-        if seq.description:
-            chunks.append(f">{seq.id} {seq.description}\n")
-        else:
-            chunks.append(f">{seq.id}\n")
+        if seq.id.split() != [seq.id] or "\n" in seq.description or "\r" in seq.description:
+            raise ValueError(
+                f"sequence {seq.id!r} would not read back from FASTA: an id cannot hold "
+                "whitespace, nor a description a line break"
+            )
+        chunks.append(f">{seq.id} {seq.description}\n" if seq.description else f">{seq.id}\n")
         out = seq.residues.replace(GAP, "-")
         for start in range(0, len(out), FASTA_LINE_WIDTH):
             chunks.append(out[start:start + FASTA_LINE_WIDTH] + "\n")

@@ -4,9 +4,9 @@ import pytest
 
 import promsa.bench
 from helpers import SETUP1, newick_leaf_sets, parse_newick
-from promsa import ScoringScheme, align_global, parse_fasta
+from promsa import ScoringScheme, TieBreak, align_global, parse_fasta
 from promsa.bench import BENCH_CSV_HEADER
-from promsa.cli import main
+from promsa.cli import build_parser, main
 
 
 def write_setup1(path) -> str:
@@ -317,3 +317,18 @@ class TestBenchCommand:
                 int(row["distance_ms"]) + int(row["tree_ms"]) + int(row["merge_ms"]) - 1
             )
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["align", "--input", "in.fasta"],
+        ["tree", "--input", "in.fasta", "--method", "nj", "--out", "tree.nwk"],
+        ["bench", "--out", "bench.csv"],
+    ],
+)
+def test_parsed_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert ScoringScheme(args.match, args.mismatch, args.gap) == ScoringScheme()
+    if args.command == "align":
+        assert args.tie == TieBreak().mode

@@ -23,7 +23,7 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
-from promsa.pairwise import _LANE_MIN, batch_site_counts, site_counts
+from promsa.pairwise import _LANE_MIN, _chunks, batch_site_counts, site_counts
 
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
@@ -134,6 +134,21 @@ class TestBatchSiteCounts:
         assert list(zip(matches.tolist(), comparable.tolist())) == [
             site_counts(a, b, ScoringScheme()) for a, b in pairs
         ]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=80),
+        st.sampled_from([1, 200, 3000, 2**16]),
+    )
+    def test_chunks_partition_the_keys_within_the_lane_cells(self, lengths, cap):
+        len_a, len_b = [m for m, _ in lengths], [n for _, n in lengths]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(promsa.pairwise, "_LANE_CELLS", cap)
+            chunks = _chunks(len_a, len_b)
+        assert sorted(k for chunk in chunks for k in chunk) == list(range(len(lengths)))
+        for chunk in chunks:
+            if len(chunk) > 1:
+                m, n = max(len_a[k] for k in chunk), max(len_b[k] for k in chunk)
+                assert len(chunk) * (m + 1) * (n + 1) <= cap
 
 
 class TestJukesCantor:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -190,6 +191,19 @@ class TestWriteFasta:
                 residues = "A" + residues
             seqs.append(Sequence(f"id{i}", residues))
         assert parse_fasta(write_fasta(seqs), allow_gaps=True) == seqs
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            Sequence("a b", "ACGTAC"),
+            Sequence("a\tb", "ACGTAC"),
+            Sequence("a", "ACGTAC", "first\nsecond"),
+            Sequence("a", "ACGTAC", "first\rsecond"),
+        ],
+    )
+    def test_header_that_would_not_read_back_is_rejected(self, seq):
+        with pytest.raises(ValueError, match=re.escape(repr(seq.id))):
+            write_fasta([Sequence("ok", "ACGT"), seq])
 
 
 class TestStripGaps:
