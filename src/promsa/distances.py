@@ -2,11 +2,12 @@
 
 Distances are computed from Needleman-Wunsch alignments of each distinct
 ordered pair of residue strings, whose sites are counted for many pairs at
-once by ``pairwise.batch_site_counts``: short pairs as lanes of one grid,
-the rest from each pair's move string. Columns containing a gap are
-excluded from the site counts, and the substitution fraction feeds the
-Jukes-Cantor correction. Fractions at or beyond the model's 3/4 ceiling
-are clamped to a configurable maximum and flagged as saturated.
+once by ``pairwise.batch_site_counts``: from 64 pairs up, pairs of up to
+2**17 cells as lanes of a rolling row pair in evenly cut chunks of at most
+2**20 flag bytes, the rest from each pair's move string. Columns containing
+a gap are excluded from the site counts, and the substitution fraction
+feeds the Jukes-Cantor correction. Fractions at or beyond the model's 3/4
+ceiling are clamped to a configurable maximum and flagged as saturated.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def pairwise_distance_matrix(
     scoring scheme; a later pair with the same residues, in the same
     order, reuses that distance. The order matters because traceback ties
     can resolve differently when the inputs are swapped. The pairs are
-    counted together by ``batch_site_counts``, which fills many short pairs
-    as lanes of one grid and the rest one by one with ``site_counts``.
+    counted together by ``batch_site_counts``, which, in a job of 64 pairs
+    or more, fills the short ones as lanes of a rolling row pair.
 
     Errors are those of a pair-by-pair loop in row order: the first pair
     whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free

@@ -31,18 +31,22 @@ _MAX_SCORE = 2**31
 # (2-core x86, Python 3.11, numpy 2.4).
 _VECTOR_MIN_WIDTH = 32
 
-# batch_site_counts fills a chunk of pairs as one lane-major grid of at most
-# _LANE_CELLS cells when the chunk holds at least _LANE_MIN pairs, so only
-# pairs of up to (m+1)(n+1) = 1024 cells are ever batched. 2**16 cells gave
-# the fastest many_taxa jobs (UPGMA medians 0.040-0.041 s at 2**14,
-# 0.033-0.037 s at 2**16, 0.035-0.038 s at 2**18) for 1.6 MB more peak RSS
-# than the per-pair stage (4.3 MB at 2**18). From 64 lanes up the batch was
-# 4.5-8.7x as fast as per-pair site_counts at lengths 4-30 (it already won
-# from 8-16 lanes); the minimum stays at 64 so that small inputs, up to 11
-# sequences, keep one align_strings call per distinct pair, which the
-# benchmark's tracer counts. All on a 2-core x86, Python 3.11, numpy 2.4.
-_LANE_CELLS = 2**16
+# A job of at least _LANE_MIN distinct pairs fills its pairs of at most
+# _LANE_KEY_CELLS cells as lanes of one rolling row pair, in chunks whose int8
+# flag grid, lanes x padded (m+1)(n+1) cells at one byte a cell, stays within
+# _LANE_CELLS bytes. On family jobs (16 x 200 nt) caps of 2**20, 3 * 2**19 and
+# 2**21 bytes gave UPGMA align_s 0.071, 0.068 and 0.063 s against 0.128 s
+# pair by pair, for 1.1, 1.7 and 3.4 MB (3%, 5% and 9%) more peak RSS. A pair
+# over _LANE_KEY_CELLS goes through site_counts: fewer than 8 lanes of it fit
+# a chunk, and there the lanes lost (1.0x the per-pair time at 8 lanes of
+# 350 nt, 1.5x at 5 of 450 nt, 3.4x at 1 of 800 nt; 0.75x at 16 of 250 nt).
+# The minimum of 64 keeps small inputs, up to 11 sequences, at one
+# align_strings call per distinct pair, which the benchmark's tracer counts;
+# batches of short pairs already won from 8-16 lanes. All on a 2-core x86,
+# Python 3.11, numpy 2.4.
+_LANE_CELLS = 2**20
 _LANE_MIN = 64
+_LANE_KEY_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -125,32 +129,17 @@ def _diag_steps(s: ScoringScheme) -> tuple[int, int]:
 
 
 def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int) -> type:
-    """int32 when every value an (m+1) x (n+1) shifted grid writes fits,
+    """int32 when every value an (m+1) x (n+1) shifted grid fill forms fits,
     else int64.
 
-    Each F lies in [0, min(m, n) * the best diagonal step, or 0], and each
-    diagonal sum F + step is at least the smaller diagonal step.
+    Each F lies in [0, min(m, n) * the best diagonal step, or 0], each
+    diagonal sum F + step is at least the smaller diagonal step, and the
+    lane fill scales its rows' symbol matches by the steps' difference.
     """
     int32 = np.iinfo(np.int32)
-    top = min(m, n) * max(0, diag_match, diag_mismatch)
-    bottom = min(diag_match, diag_mismatch)
+    top = max(min(m, n) * max(0, diag_match, diag_mismatch), diag_match - diag_mismatch)
+    bottom = min(diag_match, diag_mismatch, diag_match - diag_mismatch)
     return np.int32 if int32.min <= bottom and top <= int32.max else np.int64
-
-
-def _fill_rows(grid: np.ndarray, steps) -> None:
-    """Fill a zero-bordered shifted grid in place, row by row.
-
-    Axis 0 is i and axis 1 is j; any further axes are independent lanes.
-    ``steps`` yields row i+1's diagonal steps, shaped like ``grid[0, 1:]``.
-    """
-    # Bound once: looking the ufuncs up on every row cost 5-10% of a
-    # 200 x 200 fill. accumulate runs along its default axis 0, over j.
-    add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
-    rows = zip(steps, grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:])
-    for step, diag, up, out, cur in rows:
-        add(diag, step, out=out)
-        maximum(out, up, out=out)
-        running_max(cur, out=cur)
 
 
 def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
@@ -172,7 +161,12 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
             x: np.where(codes == ord(x), diag_match, diag_mismatch).astype(dtype) for x in set(a)
         }
         grid = np.zeros((m + 1, n + 1), dtype=dtype)
-        _fill_rows(grid, map(steps.__getitem__, a))
+        # Bound once: a lookup per row cost 5-10% of a 200 x 200 fill.
+        add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
+        for x, diag, up, out in zip(a, grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:]):
+            add(diag, steps[x], out=out)
+            maximum(out, up, out=out)
+            running_max(out, out=out)
         return memoryview(grid.reshape(-1))
     steps = {x: [diag_match if x == y else diag_mismatch for y in b] for x in set(a)}
     prev = [0] * (n + 1)
@@ -296,86 +290,103 @@ def batch_site_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matches, comparable) arrays, entry k equal to ``site_counts(*pairs[k], s)``.
 
-    The pairs are sorted by lengths and cut into chunks of at most
-    ``_LANE_CELLS`` grid cells. A chunk of at least ``_LANE_MIN`` pairs is
-    filled as one lane-major grid; a smaller one goes pair by pair through
-    ``site_counts``.
+    From ``_LANE_MIN`` pairs up, every pair of at most ``_LANE_KEY_CELLS``
+    grid cells is a lane: ``_chunks`` cuts these into chunks, each filled as
+    the lanes of one rolling row pair by ``_lane_counts``. The other pairs go
+    one by one through ``site_counts``.
     """
+    len_a = np.array([len(a) for a, _ in pairs], dtype=np.int64)
+    len_b = np.array([len(b) for _, b in pairs], dtype=np.int64)
+    lane = (len(pairs) >= _LANE_MIN) & ((len_a + 1) * (len_b + 1) <= _LANE_KEY_CELLS)
     matches = np.zeros(len(pairs), dtype=np.int64)
     comparable = np.zeros(len(pairs), dtype=np.int64)
-    for chunk in _chunks([len(a) for a, _ in pairs], [len(b) for _, b in pairs]):
-        if len(chunk) < _LANE_MIN:
-            for k in chunk:
-                matches[k], comparable[k] = site_counts(*pairs[k], s)
-        else:
-            matches[chunk], comparable[chunk] = _lane_counts([pairs[k] for k in chunk], s)
+    for k in np.flatnonzero(~lane).tolist():
+        matches[k], comparable[k] = site_counts(*pairs[k], s)
+    keys = np.flatnonzero(lane)
+    for chunk in _chunks(len_a[keys], len_b[keys]):
+        chunk = keys[chunk]
+        matches[chunk], comparable[chunk] = _lane_counts([pairs[k] for k in chunk.tolist()], s)
     return matches, comparable
 
 
-def _chunks(len_a: list[int], len_b: list[int]) -> list[list[int]]:
-    """Pair indices sorted by lengths, cut greedily so that each chunk's lanes
-    times its padded (m+1) x (n+1) grid stays within ``_LANE_CELLS`` (a pair
-    over it is a chunk alone). Unpadded one-shape chunks made mixed-length jobs 4x slower."""
-    chunks: list[list[int]] = []
-    chunk: list[int] = []
-    m = n = 0
-    for a, b, k in sorted(zip(len_a, len_b, range(len(len_a)))):
-        wide_m, wide_n = max(m, a), max(n, b)
-        if chunk and (len(chunk) + 1) * (wide_m + 1) * (wide_n + 1) > _LANE_CELLS:
-            chunks.append(chunk)
-            chunk, wide_m, wide_n = [], a, b
-        chunk.append(k)
-        m, n = wide_m, wide_n
-    if chunk:
-        chunks.append(chunk)
+def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> list[np.ndarray]:
+    """Pair indices sorted by lengths, cut so that each chunk's lanes times its
+    padded (m+1) x (n+1) grid stays within ``_LANE_CELLS`` (a pair over it is a
+    chunk alone). Where the next ``fit`` pairs would fit, the r pairs left are
+    shared evenly among ceil(r / fit) chunks, so a run of equal lengths is cut
+    into even chunks and none is left short. Unpadded one-shape chunks made
+    mixed-length jobs 4x slower."""
+    order = np.lexsort((len_b, len_a))
+    rows = np.asarray(len_a, dtype=np.int64)[order] + 1
+    cols = np.asarray(len_b, dtype=np.int64)[order] + 1
+    chunks = []
+    start = 0
+    while start < len(order):
+        left = len(order) - start
+        cells = np.maximum.accumulate(rows[start:]) * np.maximum.accumulate(cols[start:])
+        fit = max(1, int(np.count_nonzero(cells * np.arange(1, left + 1) <= _LANE_CELLS)))
+        size = -(-left // -(-left // fit))
+        chunks.append(order[start : start + size])
+        start += size
     return chunks
 
 
 # Bits of a lane cell's flags: the moves align_strings' D > U > L rule may
-# take there, and whether the diagonal pairs equal symbols. The origin,
-# where a lane's walk ends, has only _DONE.
+# take there, and whether the diagonal pairs equal symbols. Cells on the
+# first row or column, where no diagonal move is left, hold _DONE.
 _UP_OK, _DIAG_OK, _SAME, _DONE = 1, 2, 4, 8
 
 
 def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.ndarray, np.ndarray]:
-    """``site_counts`` of every pair from one (m+1) x (n+1) x pairs grid.
+    """``site_counts`` of every pair, filled as the lanes of one rolling row pair.
 
     Each pair is a lane: its reversed strings are padded to the longest,
     and the recurrence never reads past a lane's own lengths, so padding
-    does not reach its cells. Which moves each cell allows is found for all
-    lanes at once; the traceback then walks every lane in lock-step from its
-    own corner, taking D, else U, else L, as ``align_strings`` does.
+    does not reach its cells. Only two score rows are kept, each
+    (n+1) x lanes; every row leaves its cells' int8 flags in an
+    (m+1) x (n+1) x lanes grid, one byte a cell. The traceback then walks
+    every lane in lock-step from its own corner, taking D, else U, else L,
+    as ``align_strings`` does, until each lane reaches the first row or
+    column, where no diagonal move is left to count.
     """
     lanes = len(pairs)
     len_a = np.array([len(a) for a, _ in pairs])
     len_b = np.array([len(b) for _, b in pairs])
     m, n = int(len_a.max()), int(len_b.max())
     diag_match, diag_mismatch = _diag_steps(s)
-    dtype = _grid_dtype(m, n, diag_match, diag_mismatch)
-    same = _lane_codes([a for a, _ in pairs], m)[:, None] == _lane_codes([b for _, b in pairs], n)
-    # Row i's steps, where(B == A[i], match, mismatch), as products that
-    # cannot overflow the grid's dtype; np.where took 3x as long here.
-    steps = same * dtype(diag_match) + ~same * dtype(diag_mismatch)
-    grid = np.zeros((m + 1, n + 1, lanes), dtype=dtype)
-    _fill_rows(grid, steps)
-
+    codes_a = _lane_codes([a for a, _ in pairs], m)
+    codes_b = _lane_codes([b for _, b in pairs], n)
+    rows = np.zeros((2, n + 1, lanes), dtype=_grid_dtype(m, n, diag_match, diag_mismatch))
+    step = np.empty_like(rows[0, 1:])
+    ok = np.empty((n, lanes), dtype=bool)
     flags = np.zeros((m + 1, n + 1, lanes), dtype=np.int8)
-    np.equal(grid[1:], grid[:-1], out=flags[1:])  # True is _UP_OK
-    steps += grid[:-1, :-1]  # each cell's diagonal candidate
-    flags[1:, 1:] += (grid[1:, 1:] == steps) * np.int8(_DIAG_OK) + same * np.int8(_SAME)
-    flags[0, 0] = _DONE
+    add, maximum, equal, running_max = np.add, np.maximum, np.equal, np.maximum.accumulate
+    for i, (code, f) in enumerate(zip(codes_a, flags[1:, 1:])):
+        diag, up, out = rows[i % 2, :-1], rows[i % 2, 1:], rows[1 - i % 2, 1:]
+        equal(codes_b, code, out=f.view(bool))  # _SAME, in bit 0 until shifted
+        np.copyto(step, f)
+        step *= diag_match - diag_mismatch
+        add(step, diag_mismatch, out=step)
+        add(step, diag, out=step)
+        maximum(step, up, out=out)
+        running_max(out, out=out)
+        # f = 2f + bit, twice: _SAME moves to bit 2 above _DIAG_OK and _UP_OK.
+        for source in (step, up):
+            add(f, f, out=f)
+            add(f, equal(out, source, out=ok).view(np.int8), out=f)
+    flags[0] = flags[:, 0] = _DONE
     up_back, left_back = (n + 1) * lanes, lanes  # flat offsets of one step up, left
     back = np.zeros(_DONE + 1, dtype=np.int64)  # what a step from each flag value subtracts
     for f in range(_DONE):
         back[f] = up_back + left_back if f & _DIAG_OK else up_back if f & _UP_OK else left_back
-    # Each step moves every unfinished lane closer to (0, 0), so m + n steps
-    # finish them all.
+    # Each step moves every unfinished lane closer to the border, so m + n
+    # steps finish them all.
     path = np.empty((int((len_a + len_b).max()), lanes), dtype=np.int8)
     k = len_a * up_back + len_b * left_back + np.arange(lanes)
     flags = flags.reshape(-1)
-    for step in path:
-        np.take(flags, k, out=step)
-        k -= back.take(step)
+    for move in path:
+        flags.take(k, out=move)
+        k -= back.take(move)
     match = _DIAG_OK | _SAME
     return ((path & match) == match).sum(axis=0), ((path & _DIAG_OK) != 0).sum(axis=0)
 

@@ -232,10 +232,11 @@ def write_fasta(seqs: list[Sequence] | tuple[Sequence, ...]) -> str:
     """Render sequences as FASTA text: gaps as '-', 60-column wrapping, LF."""
     chunks: list[str] = []
     for seq in seqs:
-        if seq.id.split() != [seq.id] or "\n" in seq.description or "\r" in seq.description:
+        desc = seq.description
+        if seq.id.split() != [seq.id] or "\n" in desc or "\r" in desc or desc != desc.strip():
             raise ValueError(
                 f"sequence {seq.id!r} would not read back from FASTA: an id cannot hold "
-                "whitespace, nor a description a line break"
+                "whitespace, nor a description a line break or leading or trailing whitespace"
             )
         chunks.append(f">{seq.id} {seq.description}\n" if seq.description else f">{seq.id}\n")
         out = seq.residues.replace(GAP, "-")

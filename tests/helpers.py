@@ -1,12 +1,13 @@
 """Shared test oracles: exhaustive alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
-align-every-pair distance loop, the column-loop profile, consensus and
-pair tally, the all-gap column scan, row-pair sum-of-pairs loops, the
-pair-by-pair guide-tree join scan, the guide-tree builders over a
-(2n-1)-square working table, recursive guide-tree walks, a minimal Newick
-reader, and random tree/matrix generators. Everything here is independent
-of the code paths under test, except that the working-table builders
-choose each join with the shared ``_closest_pair``."""
+align-every-pair distance loop, the whole-grid lock-step lane counts, the
+column-loop profile, consensus and pair tally, the all-gap column scan,
+row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, the
+guide-tree builders over a (2n-1)-square working table, recursive
+guide-tree walks, a minimal Newick reader, and random tree/matrix
+generators. Everything here is independent of the code paths under test,
+except that the working-table builders choose each join with the shared
+``_closest_pair``."""
 
 from __future__ import annotations
 
@@ -198,6 +199,57 @@ def pair_loop_distance_matrix(
                 raise ValueError(f"pair ({seqs[i].id}, {seqs[j].id}): {err}") from err
             values[i, j] = values[j, i] = d
     return DistanceMatrix(tuple(seq.id for seq in seqs), values)
+
+
+def full_grid_lane_counts(
+    pairs: list[tuple[str, str]], s: ScoringScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matches, comparable) of every pair from one whole (m+1) x (n+1) x
+    pairs int64 grid of shifted scores, F[i][j] = H[i][j] - g*(i+j).
+
+    Each pair is a lane over its reversed strings, padded to the longest.
+    Which moves each cell allows is found for all lanes at once; the
+    traceback then walks every lane in lock-step from its own corner,
+    taking D, else U, else L, until all reach (0, 0)."""
+    lanes = len(pairs)
+    len_a = np.array([len(a) for a, _ in pairs])
+    len_b = np.array([len(b) for _, b in pairs])
+    m, n = int(len_a.max()), int(len_b.max())
+    gap = s.gap_penalty
+    diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
+
+    def codes(strings: list[str], width: int) -> np.ndarray:
+        """width x lanes code points of the reversed strings, padded with -1."""
+        out = np.full((width, lanes), -1, dtype=np.int64)
+        for lane, x in enumerate(strings):
+            out[: len(x), lane] = [ord(c) for c in reversed(x)]
+        return out
+
+    same = codes([a for a, _ in pairs], m)[:, None] == codes([b for _, b in pairs], n)
+    steps = np.where(same, diag_match, diag_mismatch).astype(np.int64)
+    grid = np.zeros((m + 1, n + 1, lanes), dtype=np.int64)
+    for i in range(m):
+        grid[i + 1, 1:] = np.maximum(grid[i, :-1] + steps[i], grid[i, 1:])
+        np.maximum.accumulate(grid[i + 1], axis=0, out=grid[i + 1])
+
+    up_ok, diag_ok, same_bit, done = 1, 2, 4, 8
+    flags = np.zeros((m + 1, n + 1, lanes), dtype=np.int8)
+    flags[1:] += grid[1:] == grid[:-1]
+    flags[1:, 1:] += (grid[1:, 1:] == grid[:-1, :-1] + steps) * np.int8(diag_ok)
+    flags[1:, 1:] += same * np.int8(same_bit)
+    flags[0, 0] = done
+    up_back, left_back = (n + 1) * lanes, lanes
+    back = np.zeros(done + 1, dtype=np.int64)  # what a step from each flag value subtracts
+    for f in range(done):
+        back[f] = up_back + left_back if f & diag_ok else up_back if f & up_ok else left_back
+    path = np.empty((int((len_a + len_b).max()), lanes), dtype=np.int8)
+    k = len_a * up_back + len_b * left_back + np.arange(lanes)
+    flags = flags.reshape(-1)
+    for step in path:
+        np.take(flags, k, out=step)
+        k -= back.take(step)
+    match = diag_ok | same_bit
+    return ((path & match) == match).sum(axis=0), ((path & diag_ok) != 0).sum(axis=0)
 
 
 def pair_loop_sp_score(msa: Msa, s: ScoringScheme) -> int:

@@ -4,12 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promsa.distances
 import promsa.pairwise
-from helpers import pair_loop_distance_matrix, random_dna
+from helpers import full_grid_lane_counts, pair_loop_distance_matrix, random_dna
 from promsa import (
     DistanceMatrix,
     MatchStats,
@@ -23,7 +23,7 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
-from promsa.pairwise import _LANE_MIN, _chunks, batch_site_counts, site_counts
+from promsa.pairwise import _LANE_MIN, _chunks, _lane_counts, batch_site_counts, site_counts
 
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
@@ -149,6 +149,78 @@ class TestBatchSiteCounts:
             if len(chunk) > 1:
                 m, n = max(len_a[k] for k in chunk), max(len_b[k] for k in chunk)
                 assert len(chunk) * (m + 1) * (n + 1) <= cap
+
+
+def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
+    """Strings over ``alphabet`` whose length is drawn evenly from 0 to ``longest``."""
+    return st.integers(0, longest).flatmap(lambda k: st.text(alphabet, min_size=k, max_size=k))
+
+
+@pytest.fixture
+def align_calls(monkeypatch) -> list[tuple[str, str]]:
+    """The (a, b) of every ``align_strings`` call that ``promsa.pairwise`` makes."""
+    calls = []
+
+    def counting_align(a, b, s):
+        calls.append((a, b))
+        return align_strings(a, b, s)
+
+    monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
+    return calls
+
+
+class TestLaneCounts:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda alphabet: st.lists(
+                st.tuples(_strings(alphabet, 220), _strings(alphabet, 220)), min_size=1, max_size=6
+            )
+        ),
+        # (2**31, 0, -1) needs an int64 grid. Under (5, -2**31, -1) every cell
+        # fits int32, but match - mismatch does not.
+        st.sampled_from(
+            [(3, 0, -1), (5, -4, -2), (1, 1, -1), (0, -5, 0), (2**31, 0, -1), (5, -(2**31), -1)]
+        ),
+    )
+    def test_equals_full_grid_oracle_and_site_counts(self, pairs, scores):
+        s = ScoringScheme(*scores)
+        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        assert counts == list(zip(*(x.tolist() for x in full_grid_lane_counts(pairs, s))))
+        assert counts == [site_counts(a, b, s) for a, b in pairs]
+
+    @pytest.mark.parametrize(("lanes", "full_chunks"), [(20, 4), (64, 2), (100, 1)])
+    def test_key_past_a_full_chunk_stays_on_the_lane_path(
+        self, monkeypatch, align_calls, lanes, full_chunks
+    ):
+        monkeypatch.setattr(promsa.pairwise, "_LANE_CELLS", lanes * 13 * 13)
+        rng = random.Random(lanes)
+        pairs = [
+            (random_dna(rng, 12, 12), random_dna(rng, 12, 12))
+            for _ in range(lanes * full_chunks + 1)
+        ]
+        assert len(pairs) >= _LANE_MIN
+        sizes = [len(chunk) for chunk in _chunks([12] * len(pairs), [12] * len(pairs))]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= lanes
+        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        assert align_calls == []
+        monkeypatch.undo()
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(a, b, ScoringScheme()) for a, b in pairs
+        ]
+
+    def test_pairs_over_the_key_cells_go_pair_by_pair(self, monkeypatch, align_calls):
+        monkeypatch.setattr(promsa.pairwise, "_LANE_KEY_CELLS", 13 * 13)
+        rng = random.Random(14)
+        pairs = [(random_dna(rng, 12, 12), random_dna(rng, 11, 13)) for _ in range(_LANE_MIN)]
+        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        wide = [(a, b) for a, b in pairs if (len(a) + 1) * (len(b) + 1) > 13 * 13]
+        assert wide and sorted(align_calls) == sorted(wide)
+        monkeypatch.undo()
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(a, b, ScoringScheme()) for a, b in pairs
+        ]
 
 
 class TestJukesCantor:

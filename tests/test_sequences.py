@@ -206,6 +206,18 @@ class TestWriteFasta:
             write_fasta([Sequence("ok", "ACGT"), seq])
 
 
+    @pytest.mark.parametrize("description", [" lead", "trail ", " both ", "\ttab", "\u2003em", " "])
+    def test_description_with_outer_whitespace_is_rejected(self, description):
+        seq = Sequence("a", "ACGT", description)
+        assert parse_fasta(f">a {description}\nACGT\n")[0] != seq  # what writing it would give
+        with pytest.raises(ValueError, match=re.escape(repr(seq.id))):
+            write_fasta([seq])
+
+    def test_description_with_inner_whitespace_reads_back(self):
+        seqs = [Sequence("a", "ACGT", "two  spaces\tand a tab"), Sequence("b", "GG", "x \u2003y")]
+        assert parse_fasta(write_fasta(seqs)) == seqs
+
+
 class TestStripGaps:
     def test_removes_gaps(self):
         assert strip_gaps(Sequence("a", "A_C_")).residues == "AC"
