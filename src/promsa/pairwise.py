@@ -32,21 +32,29 @@ _MAX_SCORE = 2**31
 _VECTOR_MIN_WIDTH = 32
 
 # A job of at least _LANE_MIN distinct pairs fills its pairs of at most
-# _LANE_KEY_CELLS cells as lanes of one rolling row pair, in chunks whose int8
-# flag grid, lanes x padded (m+1)(n+1) cells at one byte a cell, stays within
-# _LANE_CELLS bytes. On family jobs (16 x 200 nt) caps of 2**20, 3 * 2**19 and
-# 2**21 bytes gave UPGMA align_s 0.071, 0.068 and 0.063 s against 0.128 s
-# pair by pair, for 1.1, 1.7 and 3.4 MB (3%, 5% and 9%) more peak RSS. A pair
-# over _LANE_KEY_CELLS goes through site_counts: fewer than 8 lanes of it fit
-# a chunk, and there the lanes lost (1.0x the per-pair time at 8 lanes of
-# 350 nt, 1.5x at 5 of 450 nt, 3.4x at 1 of 800 nt; 0.75x at 16 of 250 nt).
-# The minimum of 64 keeps small inputs, up to 11 sequences, at one
-# align_strings call per distinct pair, which the benchmark's tracer counts;
-# batches of short pairs already won from 8-16 lanes. All on a 2-core x86,
-# Python 3.11, numpy 2.4.
-_LANE_CELLS = 2**20
+# _LANE_KEY_CELLS cells as lanes of anti-diagonals (_lane_counts), in chunks
+# whose lanes times the longer padded side stay within _LANE_CELLS; the kernel
+# holds about 48 bytes per unit, 1.5 MB at most, and a whole family (16 x 200
+# nt) or many_taxa (100 x 12 nt) job is one chunk. Caps of 2**14, 2**15 and
+# 2**16 gave the family distance stage 22.3, 19.1 and 18.7 ms, and 20 random
+# sequences of 40-300 nt 36.9, 34.0 and 41.6 ms. Bounding the longer side, not
+# m + 1 alone, keeps a few lanes with a much longer b from stretching a chunk
+# of short lanes to their m + n diagonals. The minimum of 64 keeps inputs of
+# up to 11 sequences at one align_strings call per distinct pair, which the
+# benchmark's tracer counts; short pairs already won from 8-16 lanes. All on a
+# 2-core x86, Python 3.11, numpy 2.4, medians of five alternating runs.
+_LANE_CELLS = 2**15
 _LANE_MIN = 64
 _LANE_KEY_CELLS = 2**17
+
+# A lane cell's int64 key is F << _SCORE_SHIFT | pref << _PREF_SHIFT |
+# comparable << _COUNT_BITS | matches. A count is at most a lane's shorter
+# side, which _LANE_KEY_CELLS keeps at 361 < 2**9. ScoringScheme's 2**31
+# bound keeps each diagonal step within 3 * 2**31 < 2**33, so 0 <= F < 2**42
+# and |F + step| < 2**43, within the 44 signed bits above bit 20.
+_COUNT_BITS = 9
+_PREF_SHIFT = 2 * _COUNT_BITS
+_SCORE_SHIFT = _PREF_SHIFT + 2
 
 
 @dataclass(frozen=True)
@@ -132,13 +140,12 @@ def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int) -> type:
     """int32 when every value an (m+1) x (n+1) shifted grid fill forms fits,
     else int64.
 
-    Each F lies in [0, min(m, n) * the best diagonal step, or 0], each
-    diagonal sum F + step is at least the smaller diagonal step, and the
-    lane fill scales its rows' symbol matches by the steps' difference.
+    Each F lies in [0, min(m, n) * the best diagonal step, or 0], and each
+    diagonal sum F + step is at least the smaller diagonal step.
     """
     int32 = np.iinfo(np.int32)
-    top = max(min(m, n) * max(0, diag_match, diag_mismatch), diag_match - diag_mismatch)
-    bottom = min(diag_match, diag_mismatch, diag_match - diag_mismatch)
+    top = min(m, n) * max(0, diag_match, diag_mismatch)
+    bottom = min(diag_match, diag_mismatch)
     return np.int32 if int32.min <= bottom and top <= int32.max else np.int64
 
 
@@ -291,9 +298,9 @@ def batch_site_counts(
     """(matches, comparable) arrays, entry k equal to ``site_counts(*pairs[k], s)``.
 
     From ``_LANE_MIN`` pairs up, every pair of at most ``_LANE_KEY_CELLS``
-    grid cells is a lane: ``_chunks`` cuts these into chunks, each filled as
-    the lanes of one rolling row pair by ``_lane_counts``. The other pairs go
-    one by one through ``site_counts``.
+    grid cells is a lane: ``_chunks`` cuts these into chunks, each filled
+    by anti-diagonals across its lanes by ``_lane_counts``. The other pairs
+    go one by one through ``site_counts``.
     """
     len_a = np.array([len(a) for a, _ in pairs], dtype=np.int64)
     len_b = np.array([len(b) for _, b in pairs], dtype=np.int64)
@@ -310,12 +317,12 @@ def batch_site_counts(
 
 
 def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> list[np.ndarray]:
-    """Pair indices sorted by lengths, cut so that each chunk's lanes times its
-    padded (m+1) x (n+1) grid stays within ``_LANE_CELLS`` (a pair over it is a
-    chunk alone). Where the next ``fit`` pairs would fit, the r pairs left are
-    shared evenly among ceil(r / fit) chunks, so a run of equal lengths is cut
-    into even chunks and none is left short. Unpadded one-shape chunks made
-    mixed-length jobs 4x slower."""
+    """Pair indices sorted by lengths, cut so that each chunk's lanes times the
+    longer side of its padded grid, max(m, n) + 1, stays within ``_LANE_CELLS``
+    (a pair over it is a chunk alone). Where the next ``fit`` pairs would fit,
+    the r pairs left are shared evenly among ceil(r / fit) chunks, so a run of
+    equal lengths is cut into even chunks and none is left short. Unpadded
+    one-shape chunks made mixed-length jobs 4x slower."""
     order = np.lexsort((len_b, len_a))
     rows = np.asarray(len_a, dtype=np.int64)[order] + 1
     cols = np.asarray(len_b, dtype=np.int64)[order] + 1
@@ -323,78 +330,66 @@ def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> lis
     start = 0
     while start < len(order):
         left = len(order) - start
-        cells = np.maximum.accumulate(rows[start:]) * np.maximum.accumulate(cols[start:])
-        fit = max(1, int(np.count_nonzero(cells * np.arange(1, left + 1) <= _LANE_CELLS)))
+        side = np.maximum(np.maximum.accumulate(rows[start:]), np.maximum.accumulate(cols[start:]))
+        fit = max(1, int(np.count_nonzero(side * np.arange(1, left + 1) <= _LANE_CELLS)))
         size = -(-left // -(-left // fit))
         chunks.append(order[start : start + size])
         start += size
     return chunks
 
 
-# Bits of a lane cell's flags: the moves align_strings' D > U > L rule may
-# take there, and whether the diagonal pairs equal symbols. Cells on the
-# first row or column, where no diagonal move is left, hold _DONE.
-_UP_OK, _DIAG_OK, _SAME, _DONE = 1, 2, 4, 8
-
-
 def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.ndarray, np.ndarray]:
-    """``site_counts`` of every pair, filled as the lanes of one rolling row pair.
+    """``site_counts`` of every pair, filled by anti-diagonals d = i + j across lanes.
 
-    Each pair is a lane: its reversed strings are padded to the longest,
-    and the recurrence never reads past a lane's own lengths, so padding
-    does not reach its cells. Only two score rows are kept, each
-    (n+1) x lanes; every row leaves its cells' int8 flags in an
-    (m+1) x (n+1) x lanes grid, one byte a cell. The traceback then walks
-    every lane in lock-step from its own corner, taking D, else U, else L,
-    as ``align_strings`` does, until each lane reaches the first row or
-    column, where no diagonal move is left to count.
+    Each pair is a lane: its ``a`` reversed and padded at the end, its ``b``
+    padded at the front, so one diagonal's cells compare two contiguous
+    slices, and padding never reaches a lane's own cells. Three rolling
+    (m+1) x lanes diagonals, indexed by i, hold a packed key a cell (see
+    ``_COUNT_BITS``): the largest of D, U and L with preference bits 2, 1
+    and 0, cleared afterwards, so a tie on F goes D > U > L as in
+    ``align_strings``' traceback, and the counts are those along its path.
+    Borders are never written and stay zero. A lane's counts are read at
+    row len(a) of diagonal len(a) + len(b).
     """
     lanes = len(pairs)
     len_a = np.array([len(a) for a, _ in pairs])
     len_b = np.array([len(b) for _, b in pairs])
     m, n = int(len_a.max()), int(len_b.max())
+    codes_a = _lane_codes([a[::-1].ljust(m, "\0") for a, _ in pairs], m)
+    codes_b = _lane_codes([b.rjust(n, "\0") for _, b in pairs], n)
     diag_match, diag_mismatch = _diag_steps(s)
-    codes_a = _lane_codes([a for a, _ in pairs], m)
-    codes_b = _lane_codes([b for _, b in pairs], n)
-    rows = np.zeros((2, n + 1, lanes), dtype=_grid_dtype(m, n, diag_match, diag_mismatch))
-    step = np.empty_like(rows[0, 1:])
-    ok = np.empty((n, lanes), dtype=bool)
-    flags = np.zeros((m + 1, n + 1, lanes), dtype=np.int8)
-    add, maximum, equal, running_max = np.add, np.maximum, np.equal, np.maximum.accumulate
-    for i, (code, f) in enumerate(zip(codes_a, flags[1:, 1:])):
-        diag, up, out = rows[i % 2, :-1], rows[i % 2, 1:], rows[1 - i % 2, 1:]
-        equal(codes_b, code, out=f.view(bool))  # _SAME, in bit 0 until shifted
-        np.copyto(step, f)
-        step *= diag_match - diag_mismatch
-        add(step, diag_mismatch, out=step)
-        add(step, diag, out=step)
-        maximum(step, up, out=out)
-        running_max(out, out=out)
-        # f = 2f + bit, twice: _SAME moves to bit 2 above _DIAG_OK and _UP_OK.
-        for source in (step, up):
-            add(f, f, out=f)
-            add(f, equal(out, source, out=ok).view(np.int8), out=f)
-    flags[0] = flags[:, 0] = _DONE
-    up_back, left_back = (n + 1) * lanes, lanes  # flat offsets of one step up, left
-    back = np.zeros(_DONE + 1, dtype=np.int64)  # what a step from each flag value subtracts
-    for f in range(_DONE):
-        back[f] = up_back + left_back if f & _DIAG_OK else up_back if f & _UP_OK else left_back
-    # Each step moves every unfinished lane closer to the border, so m + n
-    # steps finish them all.
-    path = np.empty((int((len_a + len_b).max()), lanes), dtype=np.int8)
-    k = len_a * up_back + len_b * left_back + np.arange(lanes)
-    flags = flags.reshape(-1)
-    for move in path:
-        flags.take(k, out=move)
-        k -= back.take(move)
-    match = _DIAG_OK | _SAME
-    return ((path & match) == match).sum(axis=0), ((path & _DIAG_OK) != 0).sum(axis=0)
+    count = 1 << _COUNT_BITS
+    mismatch_key = (diag_mismatch << _SCORE_SHIFT) + (2 << _PREF_SHIFT) + count
+    same_key = np.int64(((diag_match - diag_mismatch) << _SCORE_SHIFT) + 1)
+    up_key = 1 << _PREF_SHIFT
+    clear = ~np.int64(3 << _PREF_SHIFT)
+    diags = np.zeros((3, m + 1, lanes), dtype=np.int64)
+    key, up = np.empty((2, m, lanes), dtype=np.int64)
+    end = (len_a + len_b) * (len_a * len_b > 0)  # a lane with an empty side counts nothing
+    ends = {d: np.flatnonzero(end == d) for d in set(end.tolist())}  # lanes by corner
+    corners = np.zeros(lanes, dtype=np.int64)
+    before, last, cur = diags  # diagonals d - 2, d - 1 and d
+    for d in range(2, int(end.max()) + 1):
+        lo, hi = max(1, d - n), min(m, d - 1)  # interior cells (i, d - i)
+        k, u = key[: hi - lo + 1], up[: hi - lo + 1]
+        np.equal(codes_a[lo - 1 : hi], codes_b[n - d + lo : n - d + hi + 1], out=k)
+        np.multiply(k, same_key, out=k)
+        np.add(k, mismatch_key, out=k)
+        np.add(k, before[lo - 1 : hi], out=k)  # D
+        np.add(last[lo - 1 : hi], up_key, out=u)  # U
+        np.maximum(k, u, out=k)
+        np.maximum(k, last[lo : hi + 1], out=k)  # L
+        np.bitwise_and(k, clear, out=cur[lo : hi + 1])
+        done = ends.get(d)
+        if done is not None:
+            corners[done] = cur[len_a[done], done]
+        before, last, cur = last, cur, before
+    return corners & (count - 1), (corners >> _COUNT_BITS) & (count - 1)
 
 
 def _lane_codes(strings: list[str], width: int) -> np.ndarray:
-    """width x lanes code points of the reversed strings, padded with NUL."""
-    text = "".join(x[::-1].ljust(width, "\0") for x in strings)
-    return np.ascontiguousarray(_codes(text).reshape(len(strings), width).T)
+    """width x lanes code points of strings padded to ``width``."""
+    return np.ascontiguousarray(_codes("".join(strings)).reshape(len(strings), width).T)
 
 
 def align_global(

@@ -1,13 +1,13 @@
 """Shared test oracles: exhaustive alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
-align-every-pair distance loop, the whole-grid lock-step lane counts, the
-column-loop profile, consensus and pair tally, the all-gap column scan,
-row-pair sum-of-pairs loops, the pair-by-pair guide-tree join scan, the
-guide-tree builders over a (2n-1)-square working table, recursive
-guide-tree walks, a minimal Newick reader, and random tree/matrix
-generators. Everything here is independent of the code paths under test,
-except that the working-table builders choose each join with the shared
-``_closest_pair``."""
+align-every-pair distance loop, the whole-grid and rolling-row lock-step
+lane counts, the column-loop profile, consensus and pair tally, the
+all-gap column scan, row-pair sum-of-pairs loops, the pair-by-pair
+guide-tree join scan, the guide-tree builders over a (2n-1)-square
+working table, recursive guide-tree walks, a minimal Newick reader, and
+random tree/matrix generators. Everything here is independent of the
+code paths under test, except that the working-table builders choose each
+join with the shared ``_closest_pair``."""
 
 from __future__ import annotations
 
@@ -201,6 +201,14 @@ def pair_loop_distance_matrix(
     return DistanceMatrix(tuple(seq.id for seq in seqs), values)
 
 
+def reversed_lane_codes(strings: list[str], width: int) -> np.ndarray:
+    """width x lanes code points of the reversed strings, padded with -1."""
+    out = np.full((width, len(strings)), -1, dtype=np.int64)
+    for lane, x in enumerate(strings):
+        out[: len(x), lane] = [ord(c) for c in reversed(x)]
+    return out
+
+
 def full_grid_lane_counts(
     pairs: list[tuple[str, str]], s: ScoringScheme
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +226,8 @@ def full_grid_lane_counts(
     gap = s.gap_penalty
     diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
 
-    def codes(strings: list[str], width: int) -> np.ndarray:
-        """width x lanes code points of the reversed strings, padded with -1."""
-        out = np.full((width, lanes), -1, dtype=np.int64)
-        for lane, x in enumerate(strings):
-            out[: len(x), lane] = [ord(c) for c in reversed(x)]
-        return out
-
-    same = codes([a for a, _ in pairs], m)[:, None] == codes([b for _, b in pairs], n)
+    codes_a = reversed_lane_codes([a for a, _ in pairs], m)
+    same = codes_a[:, None] == reversed_lane_codes([b for _, b in pairs], n)
     steps = np.where(same, diag_match, diag_mismatch).astype(np.int64)
     grid = np.zeros((m + 1, n + 1, lanes), dtype=np.int64)
     for i in range(m):
@@ -248,6 +250,58 @@ def full_grid_lane_counts(
     for step in path:
         np.take(flags, k, out=step)
         k -= back.take(step)
+    match = diag_ok | same_bit
+    return ((path & match) == match).sum(axis=0), ((path & diag_ok) != 0).sum(axis=0)
+
+
+def rolling_row_lane_counts(
+    pairs: list[tuple[str, str]], s: ScoringScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matches, comparable) of every pair from two rolling int64 score rows
+    of (n+1) x lanes and an int8 flag grid, one byte a cell.
+
+    Each row writes its cells' flags, built as f = 2f + bit: whether the
+    diagonal pairs equal symbols, then whether D, then U, attains the cell.
+    First-row and first-column cells hold ``done``, where no diagonal move
+    is left, and the traceback walks every lane in lock-step from its own
+    corner, taking D, else U, else L, until each lane reaches one."""
+    lanes = len(pairs)
+    len_a = np.array([len(a) for a, _ in pairs])
+    len_b = np.array([len(b) for _, b in pairs])
+    m, n = int(len_a.max()), int(len_b.max())
+    gap = s.gap_penalty
+    diag_match, diag_mismatch = s.match_score - 2 * gap, s.mismatch_score - 2 * gap
+
+    up_ok, diag_ok, same_bit, done = 1, 2, 4, 8
+    codes_a = reversed_lane_codes([a for a, _ in pairs], m)
+    codes_b = reversed_lane_codes([b for _, b in pairs], n)
+    rows = np.zeros((2, n + 1, lanes), dtype=np.int64)
+    step = np.empty_like(rows[0, 1:])
+    ok = np.empty((n, lanes), dtype=bool)
+    flags = np.zeros((m + 1, n + 1, lanes), dtype=np.int8)
+    for i, (code, f) in enumerate(zip(codes_a, flags[1:, 1:])):
+        diag, up, out = rows[i % 2, :-1], rows[i % 2, 1:], rows[1 - i % 2, 1:]
+        np.equal(codes_b, code, out=f.view(bool))  # the same-symbol bit, shifted twice below
+        np.copyto(step, f)
+        step *= diag_match - diag_mismatch
+        step += diag_mismatch
+        step += diag
+        np.maximum(step, up, out=out)
+        np.maximum.accumulate(out, out=out)
+        for source in (step, up):
+            f += f
+            f += np.equal(out, source, out=ok).view(np.int8)
+    flags[0] = flags[:, 0] = done
+    up_back, left_back = (n + 1) * lanes, lanes  # flat offsets of one step up, left
+    back = np.zeros(done + 1, dtype=np.int64)  # what a step from each flag value subtracts
+    for f in range(done):
+        back[f] = up_back + left_back if f & diag_ok else up_back if f & up_ok else left_back
+    path = np.empty((int((len_a + len_b).max()), lanes), dtype=np.int8)
+    k = len_a * up_back + len_b * left_back + np.arange(lanes)
+    flags = flags.reshape(-1)
+    for move in path:
+        flags.take(k, out=move)
+        k -= back.take(move)
     match = diag_ok | same_bit
     return ((path & match) == match).sum(axis=0), ((path & diag_ok) != 0).sum(axis=0)
 

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import promsa.distances
 import promsa.pairwise
-from helpers import full_grid_lane_counts, pair_loop_distance_matrix, random_dna
+from helpers import (
+    full_grid_lane_counts,
+    pair_loop_distance_matrix,
+    random_dna,
+    rolling_row_lane_counts,
+)
 from promsa import (
     DistanceMatrix,
     MatchStats,
@@ -23,7 +28,17 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
-from promsa.pairwise import _LANE_MIN, _chunks, _lane_counts, batch_site_counts, site_counts
+from promsa.pairwise import (
+    _COUNT_BITS,
+    _LANE_KEY_CELLS,
+    _LANE_MIN,
+    _PREF_SHIFT,
+    _SCORE_SHIFT,
+    _chunks,
+    _lane_counts,
+    batch_site_counts,
+    site_counts,
+)
 
 
 def _pair(a: str, b: str) -> PairwiseAlignment:
@@ -148,7 +163,7 @@ class TestBatchSiteCounts:
         for chunk in chunks:
             if len(chunk) > 1:
                 m, n = max(len_a[k] for k in chunk), max(len_b[k] for k in chunk)
-                assert len(chunk) * (m + 1) * (n + 1) <= cap
+                assert len(chunk) * (max(m, n) + 1) <= cap
 
 
 def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
@@ -188,13 +203,59 @@ class TestLaneCounts:
         s = ScoringScheme(*scores)
         counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
         assert counts == list(zip(*(x.tolist() for x in full_grid_lane_counts(pairs, s))))
+        assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
         assert counts == [site_counts(a, b, s) for a, b in pairs]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(_strings("AB", 3), _strings("AB", 3)),  # often empty
+                st.tuples(_strings("AB", 30), _strings("AB", 30)),
+                # Shorter side 361, the most _LANE_KEY_CELLS admits: equal
+                # strings count 361 matches, the most a count field holds here.
+                st.text("AB", min_size=361, max_size=361).flatmap(
+                    lambda a: st.tuples(
+                        st.just(a),
+                        st.sampled_from([a, a[1:] + a[:1], a[::-1]])
+                        | st.text("AB", min_size=361, max_size=361),
+                    )
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        # At the +-2**31 score bound: the largest F, then steps of mixed sign
+        # and of one sign, then the most negative step, -3 * 2**31.
+        st.sampled_from(
+            [
+                (2**31, -(2**31), -(2**31)),
+                (5, -(2**31), -1),
+                (2**31, 0, -1),
+                (2**31, -(2**31), 2**31),
+            ]
+        ),
+    )
+    def test_packed_keys_hold_at_the_edges(self, pairs, scores):
+        s = ScoringScheme(*scores)
+        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
+        assert counts == [site_counts(a, b, s) for a, b in pairs]
+
+    def test_key_fields_fit_the_lane_key_cells(self):
+        shorter = math.isqrt(_LANE_KEY_CELLS) - 1  # the longest shorter side a lane may have
+        assert (shorter + 1) ** 2 <= _LANE_KEY_CELLS < (shorter + 2) ** 2
+        assert shorter < 2**_COUNT_BITS
+        assert _PREF_SHIFT == 2 * _COUNT_BITS and _SCORE_SHIFT == _PREF_SHIFT + 2
+        step = 2**31 - 2 * -(2**31)  # the largest diagonal step |s_ij - 2g|
+        assert shorter * step + step < 2 ** (63 - _SCORE_SHIFT)
 
     @pytest.mark.parametrize(("lanes", "full_chunks"), [(20, 4), (64, 2), (100, 1)])
     def test_key_past_a_full_chunk_stays_on_the_lane_path(
         self, monkeypatch, align_calls, lanes, full_chunks
     ):
-        monkeypatch.setattr(promsa.pairwise, "_LANE_CELLS", lanes * 13 * 13)
+        monkeypatch.setattr(promsa.pairwise, "_LANE_CELLS", lanes * 13)
         rng = random.Random(lanes)
         pairs = [
             (random_dna(rng, 12, 12), random_dna(rng, 12, 12))
@@ -310,6 +371,21 @@ class TestPairwiseDistanceMatrix:
         assert np.array_equal(m.values, m.values.T)
         assert np.all(np.diag(m.values) == 0)
         assert np.all(m.values >= 0)
+
+    def test_corrects_each_distinct_fraction_once(self, monkeypatch):
+        corrections = []
+        correct = promsa.distances._jukes_cantor_value
+
+        def counting_correct(p, d_max):
+            corrections.append(p)
+            return correct(p, d_max)
+
+        monkeypatch.setattr(promsa.distances, "_jukes_cantor_value", counting_correct)
+        # Six pairs, which hold only two fractions: 1/4 and 0.
+        seqs = [Sequence(f"s{k}", x) for k, x in enumerate(["AAAA", "CAAA", "ACAA", "AACA"])]
+        distances = pairwise_distance_matrix(seqs).values[np.triu_indices(len(seqs), 1)]
+        assert sorted(corrections) == [0.0, 0.25]
+        assert sorted(set(distances.tolist())) == [correct(p, 10.0) for p in (0.0, 0.25)]
 
     def test_performs_one_alignment_per_pair(self, monkeypatch):
         calls = []
