@@ -36,13 +36,11 @@ class BenchRecord:
     seed: int
 
     @classmethod
-    def from_report(
-        cls, method: str, seqs: list[Sequence], report: PipelineReport, seed: int
-    ) -> "BenchRecord":
+    def from_report(cls, seqs: list[Sequence], report: PipelineReport, seed: int) -> "BenchRecord":
         """The record of one pipeline run over ``seqs``."""
         t = report.timings
         return cls(
-            method=method,
+            method=report.guide_tree.method,
             n_sequences=len(seqs),
             mean_length=sum(len(s) for s in seqs) / len(seqs),
             distance_ms=t.distance_ms,
@@ -99,7 +97,7 @@ def run_bench(
             cfg = PipelineConfig(guide_method=method, scoring=scoring)
             for _ in range(reps):
                 report = progressive_align(seqs, cfg)
-                records.append(BenchRecord.from_report(method, seqs, report, seed))
+                records.append(BenchRecord.from_report(seqs, report, seed))
     return records
 
 

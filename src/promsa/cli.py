@@ -167,7 +167,7 @@ def _cmd_align(args) -> int:
     if args.tree_out:
         _write_text(args.tree_out, to_newick(report.guide_tree, args.clamp_negative) + "\n")
     if args.stats:
-        record = BenchRecord.from_report(args.guide, seqs, report, seed)
+        record = BenchRecord.from_report(seqs, report, seed)
         _write_text(args.stats, records_to_csv([record]))
     if args.verify:
         verify_msa_against_inputs(report.msa, seqs)

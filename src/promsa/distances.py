@@ -2,9 +2,9 @@
 
 Distances are computed from Needleman-Wunsch alignments of each distinct
 ordered pair of residue strings, whose sites are counted for many pairs at
-once by ``pairwise.batch_site_counts``: from 64 pairs up, pairs of up to
-2**17 cells as lanes filled by anti-diagonals, each cell carrying the site
-counts of its traceback path; the rest from each pair's move string. Gap
+once by ``pairwise.batch_site_counts``: it fills the pairs its thresholds
+admit as lanes of anti-diagonals, each cell carrying the site counts of its
+traceback path, and counts the rest from each pair's move string. Gap
 columns are excluded from the counts, and each distinct substitution
 fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
 the model's 3/4 ceiling are clamped to a configurable maximum and flagged
@@ -156,8 +156,8 @@ def pairwise_distance_matrix(
     scoring scheme; a later pair with the same residues, in the same
     order, reuses that distance. The order matters because traceback ties
     can resolve differently when the inputs are swapped. The pairs are
-    counted together by ``batch_site_counts``, which, in a job of 64 pairs
-    or more, fills the short ones by anti-diagonals across lanes.
+    counted together by ``batch_site_counts``, whose docstring gives the
+    thresholds for filling them by anti-diagonals across lanes.
 
     Errors are those of a pair-by-pair loop in row order: the first pair
     whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free

@@ -56,18 +56,21 @@ class GuideTree:
         return len(self.taxa)
 
 
-def _closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float, int]:
-    """First minimum, in row-major order, of the strict upper triangle of
-    ``scores`` (the k x k table over ``live``): its two live ids, its value
-    and the k(k-1)/2 pairs covered. The builders keep ``live`` ascending,
-    since removals keep its order and each new id is the largest so far, so
-    among tied minima this is the smallest (i, j) pair."""
-    k = len(live)
+def _closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
+    """Table positions (row, col) and value of the first minimum, in
+    row-major order, of the strict upper triangle of the k x k ``scores``.
+    The builders keep the live ids ascending, since removals keep their
+    order and each new id is the largest so far, so among tied minima this
+    is the smallest (i, j) id pair. A non-finite minimum is an error."""
+    k = len(scores)
     # The diagonal and lower triangle read +inf, so they never win a finite
     # minimum; np.where copies the rest bit for bit, -0.0 included.
     masked = np.where(np.tri(k, dtype=bool), np.inf, scores)
     row, col = divmod(int(np.argmin(masked)), k)
-    return live[row], live[col], float(masked[row, col]), k * (k - 1) // 2
+    value = float(masked[row, col])
+    if not math.isfinite(value):
+        raise ValueError("distance table contains non-finite values")
+    return row, col, value
 
 
 def _join(table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update) -> np.ndarray:
@@ -102,16 +105,12 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     sizes = [1] * n
     heights = [0.0] * n
     log: list[Merge] = []
-    scanned_total = 0
 
     for new in range(n, 2 * n - 1):
-        i, j, dmin, scanned = _closest_pair(table, live)
-        scanned_total += scanned
-        if not math.isfinite(dmin):
-            raise ValueError("distance table contains non-finite values")
+        pi, pj, dmin = _closest_pair(table)
+        i, j = live[pi], live[pj]
         h = dmin / 2.0
         si, sj = sizes[i], sizes[j]
-        pi, pj = live.index(i), live.index(j)
         table = _join(table, live, pi, pj, new, lambda di, dj: (si * di + sj * dj) / (si + sj))
         sizes.append(si + sj)
         heights.append(h)
@@ -121,7 +120,8 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
         method="upgma",
         taxa=m.taxa,
         merge_log=tuple(log),
-        stats=BuildStats(iterations=n - 1, pairs_scanned=scanned_total),
+        # The k x k tables for k = n..2 cover sum k(k-1)/2 = C(n+1, 3) pairs.
+        stats=BuildStats(iterations=n - 1, pairs_scanned=math.comb(n + 1, 3)),
     )
 
 
@@ -167,34 +167,27 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         raise ValueError("need at least two taxa")
     table, live = m.values.copy(), list(range(n))
     log: list[Merge] = []
-    scanned_total = 0
-    iterations = 0
-    new = n
 
-    while len(live) > 2:
-        iterations += 1
+    for new in range(n, 2 * n - 2):
         rates = _rates(table)
-        i, j, crit, scanned = _closest_pair(table - rates[:, None] - rates[None, :], live)
-        scanned_total += scanned
-        if not math.isfinite(crit):
-            raise ValueError("distance table contains non-finite values")
-        pi, pj = live.index(i), live.index(j)
+        pi, pj, crit = _closest_pair(table - rates[:, None] - rates[None, :])
+        i, j = live[pi], live[pj]
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)
         table = _join(table, live, pi, pj, new, lambda di, dj: (di + dj - dij) / 2.0)
         log.append(Merge(i, j, new, crit, left_len, right_len))
-        new += 1
 
     p, q = live
     final = float(table[0, 1])
-    log.append(Merge(p, q, new, final, final / 2.0, final / 2.0, closing=True))
+    log.append(Merge(p, q, 2 * n - 2, final, final / 2.0, final / 2.0, closing=True))
 
     return GuideTree(
         method="nj",
         taxa=m.taxa,
         merge_log=tuple(log),
-        stats=BuildStats(iterations=iterations, pairs_scanned=scanned_total),
+        # As for UPGMA, but the last table scanned has 3 clusters, not 2.
+        stats=BuildStats(iterations=n - 2, pairs_scanned=math.comb(n + 1, 3) - 1),
         final_edge_length=final,
     )
 

@@ -337,19 +337,17 @@ def pair_loop_sp_total_cost(msa: Msa, costs: CostScheme) -> float:
     return total
 
 
-def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float, int]:
+def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float]:
     """Scan live index pairs in ascending order; first strict minimum wins."""
     best_i = best_j = -1
     best = None
-    scanned = 0
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
-            scanned += 1
             i, j = live[a], live[b]
             value = float(key(i, j))
             if best is None or value < best:
                 best, best_i, best_j = value, i, j
-    return best_i, best_j, best, scanned
+    return best_i, best_j, best
 
 
 def _working_table(m: DistanceMatrix, total: int) -> np.ndarray:
@@ -373,10 +371,11 @@ def working_table_upgma_build(m: DistanceMatrix) -> GuideTree:
     scanned_total = 0
 
     for new in range(n, total):
-        i, j, dmin, scanned = _closest_pair(table[np.ix_(live, live)], live)
-        scanned_total += scanned
+        scanned_total += len(live) * (len(live) - 1) // 2
+        row, col, dmin = _closest_pair(table[np.ix_(live, live)])
         if not math.isfinite(dmin):
             raise ValueError("distance table contains non-finite values")
+        i, j = live[row], live[col]
         h = dmin / 2.0
         left_len = h - heights[i]
         right_len = h - heights[j]
@@ -415,11 +414,12 @@ def working_table_nj_build(m: DistanceMatrix) -> GuideTree:
         iterations += 1
         sub = table[np.ix_(live, live)]
         rates = sub.sum(axis=1) / (len(live) - 2)
-        i, j, crit, scanned = _closest_pair(sub - rates[:, None] - rates[None, :], live)
-        scanned_total += scanned
+        scanned_total += len(live) * (len(live) - 1) // 2
+        row, col, crit = _closest_pair(sub - rates[:, None] - rates[None, :])
         if not math.isfinite(crit):
             raise ValueError("distance table contains non-finite values")
-        u_i, u_j = float(rates[live.index(i)]), float(rates[live.index(j)])
+        i, j = live[row], live[col]
+        u_i, u_j = float(rates[row]), float(rates[col])
         dij = float(table[i, j])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)

@@ -221,7 +221,7 @@ class TestNjBuild:
 
     def test_iteration_and_scan_counters(self):
         rng = random.Random(32)
-        for n in (3, 5, 8):
+        for n in (2, 3, 5, 8):
             m = random_additive(rng, n)
             tree = nj_build(m)
             assert tree.stats.iterations == n - 2
@@ -306,12 +306,18 @@ def live_tables(draw):
     return upper + upper.T, live, rates
 
 
+def closest_ids(scores: np.ndarray, live: list[int]) -> tuple[int, int, float]:
+    """``_closest_pair`` of the table over ``live``, with positions read as ids."""
+    row, col, value = _closest_pair(scores)
+    return live[row], live[col], value
+
+
 class TestClosestPair:
     @given(live_tables())
     def test_matches_scan_on_plain_table(self, case):
         table, live, _ = case
         expected = scan_argmin_pair(live, lambda i, j: table[i, j])
-        assert _closest_pair(table[np.ix_(live, live)], live) == expected
+        assert closest_ids(table[np.ix_(live, live)], live) == expected
 
     @given(live_tables())
     def test_matches_scan_on_nj_criterion(self, case):
@@ -319,19 +325,35 @@ class TestClosestPair:
         expected = scan_argmin_pair(live, lambda i, j: table[i, j] - u[i] - u[j])
         sub_u = u[live]
         scores = table[np.ix_(live, live)] - sub_u[:, None] - sub_u[None, :]
-        assert _closest_pair(scores, live) == expected
+        assert closest_ids(scores, live) == expected
 
     def test_keeps_the_sign_of_a_negative_zero(self):
         scores = np.array([[0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
-        i, j, value, scanned = _closest_pair(scores, [3, 5, 8])
-        assert (i, j, scanned) == (3, 8, 3)
+        row, col, value = _closest_pair(scores)
+        assert (row, col) == (0, 2)
         assert math.copysign(1.0, value) == -1.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_minimum(self, bad):
+        scores = np.full((3, 3), bad)
+        with pytest.raises(ValueError, match="distance table contains non-finite values"):
+            _closest_pair(scores)
 
-def scan_closest_pair(scores: np.ndarray, live: list[int]) -> tuple[int, int, float, int]:
+
+def scan_closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
     """``_closest_pair`` as the pair-by-pair scan of ``scan_argmin_pair``."""
-    pos = {c: p for p, c in enumerate(live)}
-    return scan_argmin_pair(live, lambda i, j: scores[pos[i], pos[j]])
+    row, col, value = scan_argmin_pair(list(range(len(scores))), lambda i, j: scores[i, j])
+    if not math.isfinite(value):
+        raise ValueError("distance table contains non-finite values")
+    return row, col, value
+
+
+def overflowing_matrix(n: int) -> DistanceMatrix:
+    """Every off-diagonal entry 1e308: UPGMA's size-weighted sum and NJ's
+    rates overflow to inf after the first join or at once."""
+    values = np.full((n, n), 1e308)
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), values)
 
 
 @st.composite
@@ -353,6 +375,15 @@ class TestJoinScan:
             expected = build(m)
         # repr shows every float exactly, the sign of a zero included.
         assert repr(build(m)) == repr(expected)
+
+    @pytest.mark.parametrize("build", [upgma_build, nj_build])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("closest", [_closest_pair, scan_closest_pair])
+    def test_overflow_is_rejected(self, build, n, closest):
+        with mock.patch("promsa.guide_tree._closest_pair", closest):
+            with pytest.raises(ValueError, match="distance table contains non-finite values"):
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    build(overflowing_matrix(n))
 
 
 def pinned_matrix(n: int) -> DistanceMatrix:

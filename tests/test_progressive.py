@@ -1,5 +1,6 @@
 import hashlib
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -204,6 +205,23 @@ class TestProgressiveAlign:
         with pytest.raises(PipelineError, match="distance stage failed: d_max") as err:
             progressive_align(seqs, PipelineConfig(d_max=d_max))
         assert err.value.stage == "distance"
+
+    @pytest.mark.parametrize("method", ["upgma", "nj"])
+    def test_overflowing_distances_fail_the_tree_stage(self, method):
+        # No two of these share a residue, so every pair saturates at d_max.
+        seqs = [Sequence(c, c * 4) for c in "ACG"]
+        message = "tree stage failed: distance table contains non-finite values"
+        with pytest.raises(PipelineError, match=message) as err, pytest.warns(
+            RuntimeWarning, match="overflow"
+        ):
+            progressive_align(seqs, PipelineConfig(guide_method=method, d_max=1e308))
+        assert err.value.stage == "tree"
+        # NJ's criterion still overflows on the diagonal, which the pair
+        # selection masks, so that run warns and aligns.
+        nj = method == "nj"
+        with pytest.warns(RuntimeWarning, match="overflow") if nj else nullcontext():
+            report = progressive_align(seqs, PipelineConfig(guide_method=method, d_max=5e307))
+        verify_msa_against_inputs(report.msa, seqs)
 
     def test_report_carries_intermediates(self):
         seqs = setup1_sequences()
