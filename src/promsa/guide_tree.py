@@ -170,7 +170,12 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
 
     for new in range(n, 2 * n - 2):
         rates = _rates(table)
-        pi, pj, crit = _closest_pair(table - rates[:, None] - rates[None, :])
+        # Zero the masked diagonal, so -2 * u_i cannot overflow there. A
+        # fresh array ravels to a view, and this beat np.fill_diagonal.
+        scores = table - rates[:, None]
+        scores.ravel()[:: len(scores) + 1] = 0.0
+        scores -= rates
+        pi, pj, crit = _closest_pair(scores)
         i, j = live[pi], live[pj]
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)

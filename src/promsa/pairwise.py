@@ -34,22 +34,25 @@ _VECTOR_MIN_WIDTH = 32
 # A job of at least _LANE_MIN distinct pairs fills its pairs of at most
 # _LANE_KEY_CELLS cells as lanes of anti-diagonals (_lane_counts), in chunks
 # whose lanes times the longer padded side stay within _LANE_CELLS; the kernel
-# holds about 48 bytes per unit, 1.5 MB at most, and a whole family (16 x 200
-# nt) or many_taxa (100 x 12 nt) job is one chunk. Caps of 2**14, 2**15 and
-# 2**16 gave the family distance stage 22.3, 19.1 and 18.7 ms, and 20 random
-# sequences of 40-300 nt 36.9, 34.0 and 41.6 ms. Bounding the longer side, not
-# m + 1 alone, keeps a few lanes with a much longer b from stretching a chunk
-# of short lanes to their m + n diagonals. The minimum of 64 keeps inputs of
-# up to 11 sequences at one align_strings call per distinct pair, which the
-# benchmark's tracer counts; short pairs already won from 8-16 lanes. All on a
-# 2-core x86, Python 3.11, numpy 2.4, medians of five alternating runs.
+# holds 28 bytes per unit, 0.93 MB at most (48 and 1.59 MB on int64 keys), and
+# a whole family (16 x 200 nt) or many_taxa (100 x 12 nt) job is one chunk.
+# Caps of 2**14, 2**15 and 2**16 gave the family distance stage 22.3, 19.1
+# and 18.7 ms, and 20 random sequences of 40-300 nt 36.9, 34.0 and 41.6 ms
+# (int64 keys). Bounding the longer side, not m + 1 alone, keeps a few lanes
+# with a much longer b from stretching a chunk of short lanes to their m + n
+# diagonals. The minimum of 64 keeps inputs of up to 11 sequences at one
+# align_strings call per distinct pair, which the benchmark's tracer counts;
+# short pairs already won from 8-16 lanes. All on a 2-core x86, Python 3.11,
+# numpy 2.4, medians of five alternating runs.
 _LANE_CELLS = 2**15
 _LANE_MIN = 64
 _LANE_KEY_CELLS = 2**17
 
-# A lane cell's int64 key is F << _SCORE_SHIFT | pref << _PREF_SHIFT |
+# A lane cell's key is F << _SCORE_SHIFT | pref << _PREF_SHIFT |
 # comparable << _COUNT_BITS | matches. A count is at most a lane's shorter
-# side, which _LANE_KEY_CELLS keeps at 361 < 2**9. ScoringScheme's 2**31
+# side, which _LANE_KEY_CELLS keeps at 361 < 2**9. Keys are int32 when every
+# value _grid_dtype bounds fits in the 12 signed bits above bit 20, as under
+# the default scores (361 * 5 + 5 < 2**11), else int64: ScoringScheme's 2**31
 # bound keeps each diagonal step within 3 * 2**31 < 2**33, so 0 <= F < 2**42
 # and |F + step| < 2**43, within the 44 signed bits above bit 20.
 _COUNT_BITS = 9
@@ -136,17 +139,19 @@ def _diag_steps(s: ScoringScheme) -> tuple[int, int]:
     return s.match_score - 2 * gap, s.mismatch_score - 2 * gap
 
 
-def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int) -> type:
-    """int32 when every value an (m+1) x (n+1) shifted grid fill forms fits,
-    else int64.
+def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int, shift: int = 0) -> type:
+    """int32 when every value an (m+1) x (n+1) shifted grid fill forms fits
+    even shifted left by ``shift``, as in lane keys, else int64.
 
-    Each F lies in [0, min(m, n) * the best diagonal step, or 0], and each
-    diagonal sum F + step is at least the smaller diagonal step.
+    Each F lies in [0, min(m, n) * the best diagonal step, or 0], each
+    diagonal sum F + step is at least the smaller diagonal step, and a lane
+    key also adds match step - mismatch step, which ``_fill`` never forms.
     """
     int32 = np.iinfo(np.int32)
     top = min(m, n) * max(0, diag_match, diag_mismatch)
-    bottom = min(diag_match, diag_mismatch)
-    return np.int32 if int32.min <= bottom and top <= int32.max else np.int64
+    values = (top, min(diag_match, diag_mismatch), diag_match - diag_mismatch)
+    fits = int32.min <= min(values) << shift and max(values) << shift <= int32.max
+    return np.int32 if fits else np.int64
 
 
 def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
@@ -360,11 +365,12 @@ def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.nda
     diag_match, diag_mismatch = _diag_steps(s)
     count = 1 << _COUNT_BITS
     mismatch_key = (diag_mismatch << _SCORE_SHIFT) + (2 << _PREF_SHIFT) + count
-    same_key = np.int64(((diag_match - diag_mismatch) << _SCORE_SHIFT) + 1)
+    same_key = ((diag_match - diag_mismatch) << _SCORE_SHIFT) + 1
     up_key = 1 << _PREF_SHIFT
-    clear = ~np.int64(3 << _PREF_SHIFT)
-    diags = np.zeros((3, m + 1, lanes), dtype=np.int64)
-    key, up = np.empty((2, m, lanes), dtype=np.int64)
+    clear = ~(3 << _PREF_SHIFT)
+    dtype = _grid_dtype(m, n, diag_match, diag_mismatch, _SCORE_SHIFT)
+    diags = np.zeros((3, m + 1, lanes), dtype=dtype)
+    key, up = np.empty((2, m, lanes), dtype=dtype)
     end = (len_a + len_b) * (len_a * len_b > 0)  # a lane with an empty side counts nothing
     ends = {d: np.flatnonzero(end == d) for d in set(end.tolist())}  # lanes by corner
     corners = np.zeros(lanes, dtype=np.int64)

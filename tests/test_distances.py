@@ -35,6 +35,8 @@ from promsa.pairwise import (
     _PREF_SHIFT,
     _SCORE_SHIFT,
     _chunks,
+    _diag_steps,
+    _grid_dtype,
     _lane_counts,
     batch_site_counts,
     site_counts,
@@ -250,6 +252,69 @@ class TestLaneCounts:
         assert _PREF_SHIFT == 2 * _COUNT_BITS and _SCORE_SHIFT == _PREF_SHIFT + 2
         step = 2**31 - 2 * -(2**31)  # the largest diagonal step |s_ij - 2g|
         assert shorter * step + step < 2 ** (63 - _SCORE_SHIFT)
+        # Under the default scores every key such a lane forms is int32.
+        match_step, mismatch_step = _diag_steps(ScoringScheme())
+        assert shorter * match_step + match_step < 2 ** (31 - _SCORE_SHIFT)
+        assert _grid_dtype(shorter, shorter, match_step, mismatch_step, _SCORE_SHIFT) is np.int32
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        ("shorter", "scores", "dtype"),
+        [
+            (20, (100, 0, -1), np.int32),  # F up to 20 * 102 = 2040 < 2**11
+            (21, (100, 0, -1), np.int64),  # 2142
+            (409, (3, 0, -1), np.int32),  # 2045
+            (410, (3, 0, -1), np.int64),  # 2050
+            (26, (1, -2046, 0), np.int32),  # match - mismatch step 2047
+            (26, (1, -2047, 0), np.int64),  # 2048, with steps 1 and -2047
+            (26, (-1, -2048, 0), np.int32),  # smaller step -2048, difference 2047
+            (26, (-2, -2049, 0), np.int64),  # smaller step -2049
+        ],
+    )
+    def test_keys_are_int32_exactly_when_they_fit(self, shorter, scores, dtype):
+        steps = _diag_steps(ScoringScheme(*scores))
+        assert _grid_dtype(shorter, 500, *steps, _SCORE_SHIFT) is dtype
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(st.tuples(_strings("AB", 26), _strings("AB", 26)), min_size=1, max_size=4),
+        # Keys straddle the int32 limit by the chunk's shorter side (20
+        # under (100, 0, -1), 2 under (0, 1000, 0), where mismatches
+        # outscore matches), by match - mismatch step, or by the smaller step.
+        st.sampled_from(
+            [
+                (3, 0, -1),
+                (100, 0, -1),
+                (1, -2046, 0),
+                (1, -2047, 0),
+                (-1, -2048, 0),
+                (-2, -2049, 0),
+                (0, 1000, 0),
+            ]
+        ),
+    )
+    def test_keys_on_both_sides_of_the_int32_limit(self, pairs, scores):
+        s = ScoringScheme(*scores)
+        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
+        assert counts == [site_counts(a, b, s) for a, b in pairs]
+
+    def test_int32_and_int64_keys_count_alike(self, monkeypatch):
+        rng = random.Random(16)
+        pairs = []
+        for _ in range(120):
+            a = random_dna(rng, 190, 200)
+            b = "".join(c if rng.random() < 0.8 else rng.choice("ACGT") for c in a[rng.randrange(9) :])
+            pairs.append((a, b))
+        s = ScoringScheme()
+        m, n = max(len(a) for a, _ in pairs), max(len(b) for _, b in pairs)
+        assert _grid_dtype(m, n, *_diag_steps(s), _SCORE_SHIFT) is np.int32
+        narrow = _lane_counts(pairs, s)
+        monkeypatch.setattr(promsa.pairwise, "_grid_dtype", lambda *args: np.int64)
+        wide = _lane_counts(pairs, s)
+        assert all(map(np.array_equal, narrow, wide))
+        assert 0 < narrow[0].min() and narrow[0].max() < narrow[1].max()
 
     @pytest.mark.parametrize(("lanes", "full_chunks"), [(20, 4), (64, 2), (100, 1)])
     def test_key_past_a_full_chunk_stays_on_the_lane_path(
