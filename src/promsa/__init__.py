@@ -10,7 +10,6 @@ datasets.
 from .datasets import CLASSES, MEDIUM, SMALL, generate_sequences
 from .distances import (
     DistanceMatrix,
-    JukesCantorResult,
     MatchStats,
     column_stats,
     jukes_cantor,
@@ -21,8 +20,6 @@ from .guide_tree import (
     GuideTree,
     Merge,
     NjWorkspace,
-    leaf_order,
-    merge_log_csv,
     nj_build,
     nj_rates,
     to_newick,
@@ -58,7 +55,6 @@ from .sequences import (
     Msa,
     Sequence,
     parse_fasta,
-    strip_gaps,
     verify_msa_against_inputs,
     write_fasta,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "DpMatrix",
     "FastaError",
     "GuideTree",
-    "JukesCantorResult",
     "MatchStats",
     "Merge",
     "Msa",
@@ -99,8 +94,6 @@ __all__ = [
     "consensus",
     "generate_sequences",
     "jukes_cantor",
-    "leaf_order",
-    "merge_log_csv",
     "nj_build",
     "nj_rates",
     "pairwise_distance_matrix",
@@ -108,7 +101,6 @@ __all__ = [
     "progressive_align",
     "sp_score",
     "sp_total_cost",
-    "strip_gaps",
     "to_newick",
     "tree_distances",
     "upgma_build",

@@ -32,6 +32,11 @@ from .pairwise import align_global
 from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
+# The largest d_max accepted. The tree builders sum distances (UPGMA's
+# size-weighted means, NJ's row sums), and this leaves them a factor of
+# about 1e8 below the float maximum: both stay finite on tables of 0 and
+# this bound at 400 taxa, where 1e306 overflows.
+MAX_D_MAX = 1e300
 
 SATURATION_P = 0.75
 
@@ -162,11 +167,11 @@ def pairwise_distance_matrix(
     Errors are those of a pair-by-pair loop in row order: the first pair
     whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free
     column is named, and no pair after one over the budget is aligned.
-    ``d_max`` is checked before any pair is aligned: it must be finite and
-    nonnegative.
+    ``d_max`` is checked before any pair is aligned: it must lie between 0
+    and ``MAX_D_MAX``.
     """
-    if not (math.isfinite(d_max) and d_max >= 0):
-        raise ValueError(f"d_max must be finite and nonnegative, got {d_max!r}")
+    if not 0 <= d_max <= MAX_D_MAX:
+        raise ValueError(f"d_max must be between 0 and {MAX_D_MAX:g}, got {d_max!r}")
     ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)

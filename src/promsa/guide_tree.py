@@ -225,14 +225,6 @@ def to_newick(tree: GuideTree, clamp_negative: bool = False) -> str:
     return pending[tree.merge_log[-1].new] + ";"
 
 
-def leaf_order(tree: GuideTree) -> list[str]:
-    """Taxa in the order the merge log absorbs them, earliest join first."""
-    n = tree.n_leaves
-    return [
-        tree.taxa[idx] for merge in tree.merge_log for idx in (merge.left, merge.right) if idx < n
-    ]
-
-
 def tree_distances(tree: GuideTree) -> dict[frozenset, float]:
     """Leaf-to-leaf path lengths through the tree, keyed by taxa-name pairs;
     each pending cluster holds its leaves and their depths below it."""
@@ -260,10 +252,3 @@ def leaf_depths(tree: GuideTree) -> dict[str, float]:
         depth[m.right] = above + m.right_length
     return {name: depth[i] for i, name in enumerate(tree.taxa)}
 
-
-def merge_log_csv(tree: GuideTree) -> str:
-    """Merge log as CSV (iteration, operand ids, selection value)."""
-    lines = ["iteration,left,right,criterion"]
-    for it, merge in enumerate(tree.merge_log, start=1):
-        lines.append(f"{it},{merge.left},{merge.right},{merge.criterion:.6f}")
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,7 @@
 
 A profile records, for every alignment column, how often each of A, C, G,
 T and the gap symbol occurs. Consensus extraction picks the most frequent
-symbol per column; ties are settled by a pluggable policy, optionally
-consulting a positionally matched companion sequence first. Merging a
+symbol per column; ties are settled by a pluggable policy. Merging a
 sequence or a second alignment into a group goes through the group's
 consensus: the consensus is globally aligned (gap glyphs acting as an
 ordinary fifth letter), and every gap the aligner inserts into a consensus
@@ -14,12 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
 from .pairwise import DIAG, LEFT, UP, ScoringScheme, align_strings, expand_by_moves
-from .sequences import GAP, SYMBOLS, Msa, Sequence
+from .sequences import SYMBOLS, Msa, Sequence
 
 SYMBOL_ORDER = SYMBOLS
 
@@ -86,6 +86,8 @@ class ProfileMatrix:
         counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] != len(SYMBOL_ORDER):
             raise ValueError(f"counts must be a width x {len(SYMBOL_ORDER)} table")
+        if (counts < 0).any():
+            raise ValueError("counts must be nonnegative")
         bad = np.flatnonzero(counts.sum(axis=1) != self.depth)
         if bad.size:
             raise ValueError(f"column {bad[0]} counts do not total the depth")
@@ -96,26 +98,12 @@ class ProfileMatrix:
     def width(self) -> int:
         return len(self.counts)
 
-    def frequency(self, column: int, symbol: str) -> float:
-        return int(self.counts[column, SYMBOL_ORDER.index(symbol)]) / self.depth
-
     def column_frequencies(self, column: int) -> dict[str, float]:
         return {
             symbol: count / self.depth
             for symbol, count in zip(SYMBOL_ORDER, self.counts[column].tolist())
             if count
         }
-
-    def to_csv(self) -> str:
-        """Debug table: one row per symbol (gap rendered '-'), one column
-        per alignment position."""
-        header = "symbol," + ",".join(str(i) for i in range(self.width))
-        lines = [header]
-        for symbol, counts in zip(SYMBOL_ORDER, self.counts.T.tolist()):
-            label = "-" if symbol == GAP else symbol
-            values = ",".join(f"{count / self.depth:.6f}" for count in counts)
-            lines.append(f"{label},{values}")
-        return "\n".join(lines) + "\n"
 
 
 def build_profile(msa: Msa) -> ProfileMatrix:
@@ -129,38 +117,23 @@ def build_profile(msa: Msa) -> ProfileMatrix:
     return ProfileMatrix(counts.reshape(msa.width, len(SYMBOL_ORDER)), msa.depth)
 
 
-def consensus(
-    profile: ProfileMatrix,
-    against: Sequence | str | None = None,
-    tie: TieBreak | None = None,
-) -> Sequence:
+def consensus(profile: ProfileMatrix, tie: TieBreak | None = None) -> Sequence:
     """Extract the per-column majority sequence from a profile.
 
-    At each position the unique most frequent symbol wins. On a tie, a
-    symbol supplied by ``against`` at that position is taken when it is
-    among the tied leaders; otherwise the tie-break policy draws from the
-    leaders. ``against`` must match the profile width when provided.
-    Only tied columns are visited, in column order, so a random policy
-    draws in the same columns and order as a walk over every column.
+    At each position the unique most frequent symbol wins; on a tie the
+    tie-break policy draws from the leaders. Only tied columns are visited,
+    in column order, so a random policy draws in the same columns and order
+    as a walk over every column.
     """
     tie = tie if tie is not None else TieBreak()
-    companion = against.residues if isinstance(against, Sequence) else against
-    if companion is not None and len(companion) != profile.width:
-        raise ValueError(
-            f"companion length {len(companion)} does not match profile width {profile.width}"
-        )
     counts = profile.counts
     # argmax takes the first leader in SYMBOL_ORDER, which is the lex rule.
     out = _SYMBOL_CODES[counts.argmax(axis=1)]
-    if companion is not None or tie.mode == TieBreak.RANDOM:
+    if tie.mode == TieBreak.RANDOM:
         leads = counts == counts.max(axis=1, keepdims=True)
         tied = np.flatnonzero(leads.sum(axis=1) > 1)
         for index, lead in zip(tied.tolist(), leads[tied].tolist()):
-            leaders = [symbol for symbol, is_leader in zip(SYMBOL_ORDER, lead) if is_leader]
-            if companion is not None and companion[index] in leaders:
-                out[index] = ord(companion[index])
-            else:
-                out[index] = ord(tie.choose(leaders))
+            out[index] = ord(tie.choose(compress(SYMBOL_ORDER, lead)))
     return Sequence(CONSENSUS_ID, out.tobytes().decode("ascii"))
 
 

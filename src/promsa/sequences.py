@@ -116,14 +116,6 @@ class Msa:
         return tuple(row.id for row in self.rows)
 
 
-def strip_gaps(seq: Sequence) -> Sequence:
-    """Remove all gap symbols from a sequence, keeping id and order."""
-    residues = seq.residues.replace(GAP, "")
-    if not residues:
-        raise ValueError(f"sequence {seq.id!r} contains only gaps")
-    return Sequence(seq.id, residues, seq.description)
-
-
 def check_raw_inputs(seqs: list[Sequence] | tuple[Sequence, ...]) -> list[str]:
     """Check that raw pipeline input holds at least two gapless sequences
     with distinct ids, and return the ids in input order."""

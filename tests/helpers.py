@@ -150,20 +150,15 @@ def string_profile_counts(msa: Msa) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col.count(symbol) for symbol in SYMBOL_ORDER) for col in columns)
 
 
-def loop_consensus(counts, against: str | None = None, tie: TieBreak | None = None) -> str:
-    """Majority symbol column by column; a tie goes to ``against`` when it
-    holds a leader there, else to ``tie.choose`` over the leaders."""
+def loop_consensus(counts, tie: TieBreak | None = None) -> str:
+    """Majority symbol column by column; a tie goes to ``tie.choose`` over
+    the leaders."""
     tie = tie if tie is not None else TieBreak()
     out = []
-    for index, column in enumerate(counts):
+    for column in counts:
         top = max(column)
         leaders = [symbol for symbol, count in zip(SYMBOL_ORDER, column) if count == top]
-        if len(leaders) == 1:
-            out.append(leaders[0])
-        elif against is not None and against[index] in leaders:
-            out.append(against[index])
-        else:
-            out.append(tie.choose(leaders))
+        out.append(leaders[0] if len(leaders) == 1 else tie.choose(leaders))
     return "".join(out)
 
 

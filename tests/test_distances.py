@@ -28,6 +28,7 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
+from promsa.distances import MAX_D_MAX
 from promsa.pairwise import (
     _COUNT_BITS,
     _LANE_KEY_CELLS,
@@ -602,7 +603,9 @@ class TestDistanceMatrixIdentity:
 
 
 class TestDMaxCheck:
-    @pytest.mark.parametrize("d_max", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "d_max", [float("nan"), float("inf"), -1.0, math.nextafter(MAX_D_MAX, math.inf)]
+    )
     def test_rejected_before_any_pair_is_aligned(self, monkeypatch, d_max):
         calls = []
 

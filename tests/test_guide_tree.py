@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,14 +26,13 @@ from promsa import (
     GuideTree,
     Merge,
     NjWorkspace,
-    leaf_order,
-    merge_log_csv,
     nj_build,
     nj_rates,
     to_newick,
     tree_distances,
     upgma_build,
 )
+from promsa.distances import MAX_D_MAX
 from promsa.guide_tree import BuildStats, _closest_pair, leaf_depths
 
 # Additive distances realized by the tree ((a:1,b:2),(c:3,d:4)) with an
@@ -246,15 +246,16 @@ class TestNewickAndOrder:
             assert frozenset(m.taxa) in sets
 
     def test_leaf_order_four_taxa(self):
-        assert leaf_order(nj_build(nj4_matrix())) == ["a", "b", "c", "d"]
+        log = nj_build(nj4_matrix()).merge_log
+        assert [(m.left, m.right) for m in log] == [(0, 1), (2, 3), (4, 5)]
 
     def test_leaf_order_two_taxa(self):
         m = DistanceMatrix(("x", "y"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert leaf_order(nj_build(m)) == ["x", "y"]
+        assert [(step.left, step.right) for step in nj_build(m).merge_log] == [(0, 1)]
 
     def test_leaf_order_respects_first_join(self):
-        tree = upgma_build(upgma3_matrix())
-        assert leaf_order(tree) == ["a", "b", "c"]
+        log = upgma_build(upgma3_matrix()).merge_log
+        assert [(m.left, m.right) for m in log] == [(0, 1), (2, 3)]
 
     def test_relabeling_equivariance(self):
         rng = random.Random(34)
@@ -265,9 +266,9 @@ class TestNewickAndOrder:
             tuple(m.taxa[p] for p in perm),
             m.values[np.ix_(perm, perm)].copy(),
         )
-        order_a = leaf_order(nj_build(m))
-        order_b = leaf_order(nj_build(permuted))
-        assert sorted(order_a) == sorted(order_b)
+        splits_a = newick_leaf_sets(parse_newick(to_newick(nj_build(m))))
+        splits_b = newick_leaf_sets(parse_newick(to_newick(nj_build(permuted))))
+        assert splits_a == splits_b
 
     def test_merge_log_replays_to_topology(self):
         rng = random.Random(35)
@@ -284,13 +285,6 @@ class TestNewickAndOrder:
             assert groups.popitem()[1] == frozenset(m.taxa)
             from_newick = newick_leaf_sets(parse_newick(to_newick(tree)))
             assert node_sets == from_newick
-
-    def test_merge_log_csv(self):
-        csv_text = merge_log_csv(upgma_build(upgma3_matrix()))
-        lines = csv_text.splitlines()
-        assert lines[0] == "iteration,left,right,criterion"
-        assert lines[1] == "1,0,1,2.000000"
-        assert lines[2] == "2,2,3,4.000000"
 
 
 @st.composite
@@ -356,6 +350,17 @@ def overflowing_matrix(n: int) -> DistanceMatrix:
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), values)
 
 
+def bound_matrix(n: int, seed: int | None) -> DistanceMatrix:
+    """Every off-diagonal entry at the largest accepted d_max, as when every
+    pair saturates, or with a seed a random mix of 0 and that bound."""
+    if seed is None:
+        values = np.full((n, n), MAX_D_MAX)
+    else:
+        values = np.random.default_rng(seed).integers(0, 2, size=(n, n)) * MAX_D_MAX
+    upper = np.triu(values, 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
+
+
 @st.composite
 def tied_matrices(draw):
     """A seeded symmetric 2-20 taxon matrix of integer distances 0-2 or
@@ -384,6 +389,19 @@ class TestJoinScan:
             with pytest.raises(ValueError, match="distance table contains non-finite values"):
                 with pytest.warns(RuntimeWarning, match="overflow"):
                     build(overflowing_matrix(n))
+
+    @pytest.mark.parametrize("build", [upgma_build, nj_build])
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_distances_at_the_d_max_bound_stay_finite(self, build, n, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = build(bound_matrix(n, seed))
+        assert all(
+            math.isfinite(value)
+            for m in tree.merge_log
+            for value in (m.criterion, m.left_length, m.right_length)
+        )
 
 
 def pinned_matrix(n: int) -> DistanceMatrix:

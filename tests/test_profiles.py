@@ -99,7 +99,7 @@ class TestBuildProfile:
         msa = Msa((Sequence("a", "ACGT"), Sequence("b", "ACGT")))
         p = build_profile(msa)
         for col, symbol in enumerate("ACGT"):
-            assert p.frequency(col, symbol) == 1.0
+            assert p.column_frequencies(col) == {symbol: 1.0}
 
     def test_frequencies_are_multiples_of_inverse_depth(self):
         rng = random.Random(61)
@@ -108,8 +108,7 @@ class TestBuildProfile:
             p = build_profile(msa)
             for col in range(p.width):
                 total = 0.0
-                for symbol in "ACGT_":
-                    f = p.frequency(col, symbol)
+                for f in p.column_frequencies(col).values():
                     k = round(f * p.depth)
                     assert abs(f * p.depth - k) < 1e-9
                     total += f
@@ -127,16 +126,14 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="column 1 counts"):
             ProfileMatrix(((1, 0, 0, 0, 0), (1, 0, 0, 0, 1)), 1)
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ProfileMatrix(((2, -1, 0, 0, 0),), 1)
+
     @given(gapped_rows(min_depth=2))
     def test_counts_equal_string_oracle(self, rows):
         msa = msa_of_rows(rows)
         assert build_profile(msa).counts.tolist() == list(map(list, string_profile_counts(msa)))
-
-    def test_csv_layout(self):
-        lines = build_profile(profile_msa()).to_csv().splitlines()
-        assert lines[0] == "symbol,0,1,2,3,4"
-        assert lines[1].startswith("A,0.750000,")
-        assert lines[5].startswith("-,0.000000,0.000000,0.250000,0.250000,0.250000")
 
 
 class TestConsensus:
@@ -150,18 +147,6 @@ class TestConsensus:
             p = build_profile(msa)
             assert len(consensus(p)) == p.width
 
-    def test_companion_wins_tie_when_among_leaders(self):
-        # every symbol equally frequent: the companion's C is taken
-        msa = Msa((Sequence("a", "A"), Sequence("b", "C"), Sequence("c", "G"), Sequence("d", "T")))
-        p = build_profile(msa)
-        assert consensus(p, against="C").residues == "C"
-
-    def test_companion_outside_leaders_falls_back_to_policy(self):
-        # G and T tie at 0.5; companion supplies A, which is not a leader
-        msa = Msa((Sequence("a", "G"), Sequence("b", "G"), Sequence("c", "T"), Sequence("d", "T")))
-        p = build_profile(msa)
-        assert consensus(p, against="A").residues == "G"
-
     def test_lexicographic_tie(self):
         msa = Msa((Sequence("a", "G"), Sequence("b", "T")))
         assert consensus(build_profile(msa)).residues == "G"
@@ -173,26 +158,19 @@ class TestConsensus:
         two = consensus(p, tie=TieBreak("random", 123)).residues
         assert one == two
 
-    @given(gapped_rows(min_depth=2), st.integers(0, 2**32 - 1), st.booleans())
-    def test_equals_column_loop_oracle(self, rows, seed, with_companion):
+    @given(gapped_rows(min_depth=2), st.integers(0, 2**32 - 1))
+    def test_equals_column_loop_oracle(self, rows, seed):
         # Same symbols in lex and random mode, and the same generator state
         # afterwards: random draws happen in the same columns and order.
         msa = msa_of_rows(rows)
-        companion = None
-        if with_companion:
-            companion = "".join(random.Random(seed).choice("ACGT_") for _ in range(msa.width))
         oracle_counts = string_profile_counts(msa)
         profile = build_profile(msa)
         for mode in (TieBreak.LEX, TieBreak.RANDOM):
             tie, oracle_tie = TieBreak(mode, seed), TieBreak(mode, seed)
-            got = consensus(profile, against=companion, tie=tie).residues
-            assert got == loop_consensus(oracle_counts, companion, oracle_tie)
+            got = consensus(profile, tie=tie).residues
+            assert got == loop_consensus(oracle_counts, oracle_tie)
             if mode == TieBreak.RANDOM:
                 assert tie._rng.getstate() == oracle_tie._rng.getstate()
-
-    def test_companion_length_checked(self):
-        with pytest.raises(ValueError, match="length"):
-            consensus(build_profile(profile_msa()), against="AC")
 
 
 class TestAlignSequenceToProfile:

@@ -21,6 +21,7 @@ from promsa import (
     write_fasta,
 )
 import promsa.progressive
+from promsa.distances import MAX_D_MAX
 
 
 # Twelve short sequences over rotated and paired letters: most consensus
@@ -207,20 +208,18 @@ class TestProgressiveAlign:
         assert err.value.stage == "distance"
 
     @pytest.mark.parametrize("method", ["upgma", "nj"])
-    def test_overflowing_distances_fail_the_tree_stage(self, method):
+    def test_overflowing_d_max_fails_the_distance_stage(self, method):
         # No two of these share a residue, so every pair saturates at d_max.
         seqs = [Sequence(c, c * 4) for c in "ACG"]
-        message = "tree stage failed: distance table contains non-finite values"
-        with pytest.raises(PipelineError, match=message) as err, pytest.warns(
-            RuntimeWarning, match="overflow"
-        ):
-            progressive_align(seqs, PipelineConfig(guide_method=method, d_max=1e308))
-        assert err.value.stage == "tree"
-        # Half that aligns and warns of nothing: NJ zeroes its criterion's
-        # diagonal, which the pair selection masks, before it can overflow.
+        # Without the bound, 1e308 overflowed in both tree builders.
+        for d_max in (1e308, 5e307):
+            message = r"distance stage failed: d_max must be between 0 and 1e\+300"
+            with pytest.raises(PipelineError, match=message) as err:
+                progressive_align(seqs, PipelineConfig(guide_method=method, d_max=d_max))
+            assert err.value.stage == "distance"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = progressive_align(seqs, PipelineConfig(guide_method=method, d_max=5e307))
+            report = progressive_align(seqs, PipelineConfig(guide_method=method, d_max=MAX_D_MAX))
         verify_msa_against_inputs(report.msa, seqs)
 
     def test_report_carries_intermediates(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from helpers import first_all_gap_column, gapped_rows, msa_of_rows
-from promsa import FastaError, Msa, Sequence, parse_fasta, strip_gaps, write_fasta
+from promsa import FastaError, Msa, Sequence, parse_fasta, write_fasta
 from promsa.sequences import verify_msa_against_inputs
 
 
@@ -216,16 +216,3 @@ class TestWriteFasta:
     def test_description_with_inner_whitespace_reads_back(self):
         seqs = [Sequence("a", "ACGT", "two  spaces\tand a tab"), Sequence("b", "GG", "x \u2003y")]
         assert parse_fasta(write_fasta(seqs)) == seqs
-
-
-class TestStripGaps:
-    def test_removes_gaps(self):
-        assert strip_gaps(Sequence("a", "A_C_")).residues == "AC"
-
-    def test_identity_on_gapless(self):
-        seq = Sequence("a", "ACGT")
-        assert strip_gaps(seq) == seq
-
-    def test_all_gaps_rejected(self):
-        with pytest.raises(ValueError, match="only gaps"):
-            strip_gaps(Sequence("a", "____"))
