@@ -15,7 +15,7 @@ from .distances import (
     jukes_cantor,
     pairwise_distance_matrix,
 )
-from .evaluate import CostScheme, sp_score, sp_total_cost
+from .evaluate import sp_score, sp_total_cost
 from .guide_tree import (
     GuideTree,
     Merge,
@@ -66,7 +66,6 @@ __all__ = [
     "CLASSES",
     "MEDIUM",
     "SMALL",
-    "CostScheme",
     "DistanceMatrix",
     "DpMatrix",
     "FastaError",

@@ -7,12 +7,14 @@ admit as lanes of anti-diagonals, each cell carrying the site counts of its
 traceback path, and counts the rest from each pair's move string. Gap
 columns are excluded from the counts, and each distinct substitution
 fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
-the model's 3/4 ceiling are clamped to a configurable maximum and flagged
-as saturated.
+the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX`` and flagged as
+saturated.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,11 +34,6 @@ from .pairwise import align_global
 from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
-# The largest d_max accepted. The tree builders sum distances (UPGMA's
-# size-weighted means, NJ's row sums), and this leaves them a factor of
-# about 1e8 below the float maximum: both stay finite on tables of 0 and
-# this bound at 400 taxa, where 1e306 overflows.
-MAX_D_MAX = 1e300
 
 SATURATION_P = 0.75
 
@@ -85,21 +82,21 @@ def column_stats(alignment: PairwiseAlignment) -> MatchStats:
     return MatchStats(matches, mismatches, matches + mismatches)
 
 
-def jukes_cantor(stats: MatchStats, d_max: float = DEFAULT_D_MAX) -> JukesCantorResult:
+def jukes_cantor(stats: MatchStats) -> JukesCantorResult:
     """Jukes-Cantor distance from pairwise site counts.
 
     With p the mismatch fraction over comparable columns, the distance is
     -(3/4) * ln(1 - (4/3) * p). For p >= 3/4 the formula is undefined, so
-    the result is clamped to ``d_max`` and flagged saturated.
+    the result is clamped to ``DEFAULT_D_MAX`` and flagged saturated.
     """
     p = stats.mismatch_fraction
-    return JukesCantorResult(_jukes_cantor_value(p, d_max), p >= SATURATION_P)
+    return JukesCantorResult(_jukes_cantor_value(p), p >= SATURATION_P)
 
 
-def _jukes_cantor_value(p: float, d_max: float) -> float:
-    """The Jukes-Cantor distance at mismatch fraction p, ``d_max`` from 3/4 up."""
+def _jukes_cantor_value(p: float) -> float:
+    """The Jukes-Cantor distance at mismatch fraction p, ``DEFAULT_D_MAX`` from 3/4 up."""
     if p >= SATURATION_P:
-        return d_max
+        return DEFAULT_D_MAX
     if p == 0:
         return 0.0  # the formula gives -0.0 here
     return -0.75 * math.log(1.0 - (4.0 / 3.0) * p)
@@ -144,16 +141,17 @@ class DistanceMatrix:
         return float(self.values[i, j])
 
     def to_csv(self) -> str:
-        lines = ["taxon," + ",".join(self.taxa)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["taxon", *self.taxa])
         for name, row in zip(self.taxa, self.values):
-            lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))
-        return "\n".join(lines) + "\n"
+            writer.writerow([name, *(f"{v:.6f}" for v in row)])
+        return out.getvalue()
 
 
 def pairwise_distance_matrix(
     seqs: list[Sequence] | tuple[Sequence, ...],
     s: ScoringScheme | None = None,
-    d_max: float = DEFAULT_D_MAX,
 ) -> DistanceMatrix:
     """Jukes-Cantor distances for every unordered pair of input sequences.
 
@@ -167,11 +165,7 @@ def pairwise_distance_matrix(
     Errors are those of a pair-by-pair loop in row order: the first pair
     whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free
     column is named, and no pair after one over the budget is aligned.
-    ``d_max`` is checked before any pair is aligned: it must lie between 0
-    and ``MAX_D_MAX``.
     """
-    if not 0 <= d_max <= MAX_D_MAX:
-        raise ValueError(f"d_max must be between 0 and {MAX_D_MAX:g}, got {d_max!r}")
     ids = check_raw_inputs(seqs)
     s = s if s is not None else ScoringScheme()
     n = len(seqs)
@@ -205,7 +199,7 @@ def pairwise_distance_matrix(
     # Keys share fractions: a many_taxa job's 1,450-2,120 keys hold 13-20 distinct
     # ones. A dict, since np.unique's first call added about 0.25 MB to peak RSS.
     fractions = ((comparable - matches) / comparable).tolist()
-    distance = {p: _jukes_cantor_value(p, d_max) for p in set(fractions)}
+    distance = {p: _jukes_cantor_value(p) for p in set(fractions)}
     distances = np.array([distance[p] for p in fractions])
     values = np.zeros((n, n))
     values[rows, cols] = values[cols, rows] = distances[key_of_pair]

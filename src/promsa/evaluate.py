@@ -9,26 +9,9 @@ pairs, so they cost O(width) whatever the depth.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .pairwise import ScoringScheme
 from .profiles import build_profile
 from .sequences import Msa
-
-
-@dataclass(frozen=True)
-class CostScheme:
-    """Per-column pair costs: match and gap-gap are free, mismatches and
-    residue-against-gap columns pay the configured finite, nonnegative amounts."""
-
-    mismatch_cost: float = 1.0
-    gap_letter_cost: float = 1.0
-
-    def __post_init__(self):
-        # NaN fails every comparison, so this also rejects it.
-        if not all(0 <= cost < math.inf for cost in (self.mismatch_cost, self.gap_letter_cost)):
-            raise ValueError("costs must be finite and nonnegative")
 
 
 def _pair_counts(msa: Msa) -> tuple[int, int, int]:
@@ -52,17 +35,14 @@ def _pair_counts(msa: Msa) -> tuple[int, int, int]:
     return match, mismatch, residue_gap
 
 
-def sp_total_cost(msa: Msa, costs: CostScheme | None = None) -> float:
+def sp_total_cost(msa: Msa) -> float:
     """Total cost summed over all unordered row pairs and all columns.
 
-    The cost is the mismatch and residue-gap pair counts times their
-    costs. With integer or dyadic costs, such as the defaults, this is
-    exact; other float costs may differ in the last bit from adding the
-    cost once per pair and column.
+    Each mismatching pair and each residue-against-gap pair adds 1;
+    matches and gap-gap pairs are free.
     """
-    costs = costs if costs is not None else CostScheme()
     _, mismatch, residue_gap = _pair_counts(msa)
-    return float(mismatch * costs.mismatch_cost + residue_gap * costs.gap_letter_cost)
+    return float(mismatch + residue_gap)
 
 
 def sp_score(msa: Msa, s: ScoringScheme | None = None) -> int:

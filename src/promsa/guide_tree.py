@@ -51,10 +51,6 @@ class GuideTree:
     stats: BuildStats
     final_edge_length: float | None = None
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.taxa)
-
 
 def _closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
     """Table positions (row, col) and value of the first minimum, in

@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .distances import DEFAULT_D_MAX, DistanceMatrix, pairwise_distance_matrix
-from .evaluate import CostScheme, sp_score, sp_total_cost
+from .distances import DistanceMatrix, pairwise_distance_matrix
+from .evaluate import sp_score, sp_total_cost
 from .guide_tree import GuideTree, nj_build, upgma_build
 from .pairwise import ScoringScheme, align_global
 from .profiles import TieBreak, align_profile_to_profile, align_sequence_to_profile
@@ -36,7 +36,6 @@ class PipelineConfig:
     guide_method: str = "upgma"
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
     tie: TieBreak = field(default_factory=TieBreak)
-    d_max: float = DEFAULT_D_MAX
 
     def __post_init__(self):
         if self.guide_method not in GUIDE_METHODS:
@@ -94,7 +93,7 @@ def progressive_align(
 
     start_ns = time.monotonic_ns()
     try:
-        matrix = pairwise_distance_matrix(seqs, cfg.scoring, cfg.d_max)
+        matrix = pairwise_distance_matrix(seqs, cfg.scoring)
     except Exception as err:
         raise PipelineError("distance", err) from err
     distance_end_ns = time.monotonic_ns()
@@ -130,7 +129,7 @@ def progressive_align(
         distance_matrix=matrix,
         guide_tree=tree,
         msa=alignment,
-        total_cost=sp_total_cost(alignment, CostScheme()),
+        total_cost=sp_total_cost(alignment),
         sp_score=sp_score(alignment, cfg.scoring),
         timings=StageTimings(
             distance_ns=distance_end_ns - start_ns,

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from promsa import (
     GAP,
-    CostScheme,
     DistanceMatrix,
     Msa,
     ScoringScheme,
@@ -178,9 +177,7 @@ def loop_pair_counts(msa: Msa) -> tuple[int, int, int]:
     return match, mismatch, residue_gap
 
 
-def pair_loop_distance_matrix(
-    seqs: list[Sequence], s: ScoringScheme, d_max: float
-) -> DistanceMatrix:
+def pair_loop_distance_matrix(seqs: list[Sequence], s: ScoringScheme) -> DistanceMatrix:
     """Jukes-Cantor distances with one alignment per unordered pair,
     repeated residue strings included; errors name the pair."""
     n = len(seqs)
@@ -189,7 +186,7 @@ def pair_loop_distance_matrix(
         for j in range(i + 1, n):
             try:
                 alignment = align_global(seqs[i], seqs[j], s)
-                d = jukes_cantor(column_stats(alignment), d_max).value
+                d = jukes_cantor(column_stats(alignment)).value
             except ValueError as err:
                 raise ValueError(f"pair ({seqs[i].id}, {seqs[j].id}): {err}") from err
             values[i, j] = values[j, i] = d
@@ -317,18 +314,14 @@ def pair_loop_sp_score(msa: Msa, s: ScoringScheme) -> int:
     return total
 
 
-def pair_loop_sp_total_cost(msa: Msa, costs: CostScheme) -> float:
-    """Sum-of-pairs cost as a running sum over every row pair and column."""
+def pair_loop_sp_total_cost(msa: Msa) -> float:
+    """Sum-of-pairs cost as a running sum over every row pair and column:
+    1 for each mismatch and each residue against a gap."""
     total = 0.0
     for row_a, row_b in combinations(msa.rows, 2):
         for x, y in zip(row_a.residues, row_b.residues):
-            if x == y:
-                if x != GAP:
-                    continue
-            elif x == GAP or y == GAP:
-                total += costs.gap_letter_cost
-            else:
-                total += costs.mismatch_cost
+            if x != y:  # gap-gap pairs are equal, so free
+                total += 1.0
     return total
 
 

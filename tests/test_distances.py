@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from itertools import combinations
@@ -28,7 +29,6 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
-from promsa.distances import MAX_D_MAX
 from promsa.pairwise import (
     _COUNT_BITS,
     _LANE_KEY_CELLS,
@@ -372,7 +372,6 @@ class TestJukesCantor:
         result = jukes_cantor(MatchStats(1, 4, 5))  # p = 0.8
         assert result.value == 10.0
         assert result.saturated
-        assert jukes_cantor(MatchStats(1, 4, 5), d_max=3.5).value == 3.5
 
     def test_saturation_boundary(self):
         result = jukes_cantor(MatchStats(1, 3, 4))  # p = 0.75 exactly
@@ -420,6 +419,14 @@ class TestDistanceMatrix:
         m = DistanceMatrix(("a", "b"), np.array([[0.0, 0.5], [0.5, 0.0]]))
         assert m.to_csv() == "taxon,a,b\na,0.000000,0.500000\nb,0.500000,0.000000\n"
 
+    def test_csv_quotes_ids_with_commas_and_quotes(self):
+        taxa = ("a,b", 'c"d', "e")
+        m = DistanceMatrix(taxa, np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 2.0], [1.0, 2.0, 0.0]]))
+        rows = list(csv.reader(m.to_csv().splitlines()))
+        assert rows[0] == ["taxon", *taxa]
+        assert [row[0] for row in rows[1:]] == list(taxa)
+        assert [[float(v) for v in row[1:]] for row in rows[1:]] == m.values.tolist()
+
 
 class TestPairwiseDistanceMatrix:
     def test_identical_sequences_zero_distance(self):
@@ -442,16 +449,16 @@ class TestPairwiseDistanceMatrix:
         corrections = []
         correct = promsa.distances._jukes_cantor_value
 
-        def counting_correct(p, d_max):
+        def counting_correct(p):
             corrections.append(p)
-            return correct(p, d_max)
+            return correct(p)
 
         monkeypatch.setattr(promsa.distances, "_jukes_cantor_value", counting_correct)
         # Six pairs, which hold only two fractions: 1/4 and 0.
         seqs = [Sequence(f"s{k}", x) for k, x in enumerate(["AAAA", "CAAA", "ACAA", "AACA"])]
         distances = pairwise_distance_matrix(seqs).values[np.triu_indices(len(seqs), 1)]
         assert sorted(corrections) == [0.0, 0.25]
-        assert sorted(set(distances.tolist())) == [correct(p, 10.0) for p in (0.0, 0.25)]
+        assert sorted(set(distances.tolist())) == [correct(p) for p in (0.0, 0.25)]
 
     def test_performs_one_alignment_per_pair(self, monkeypatch):
         calls = []
@@ -494,14 +501,13 @@ class TestPairwiseDistanceMatrix:
         repeating_inputs(),
         # The last scheme leaves mismatched pairs no gap-free column.
         st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (0, -5, 0)]),
-        st.sampled_from([10.0, 0.5]),
     )
-    def test_matches_pair_loop_oracle(self, seqs, scores, d_max):
+    def test_matches_pair_loop_oracle(self, seqs, scores):
         s = ScoringScheme(*scores)
 
         def outcome(distance_matrix):
             try:
-                return distance_matrix(seqs, s, d_max).values.tobytes()
+                return distance_matrix(seqs, s).values.tobytes()
             except ValueError as err:
                 return str(err)
 
@@ -512,16 +518,15 @@ class TestPairwiseDistanceMatrix:
         batched_inputs(),
         # The last scheme leaves mismatched pairs no gap-free column.
         st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (0, -5, 0)]),
-        st.sampled_from([10.0, 0.5]),
         # Small budgets put some pairs over it, at any place in row order.
         st.sampled_from([None, 150, 300]),
     )
-    def test_matches_pair_loop_oracle_above_the_lane_minimum(self, seqs, scores, d_max, budget):
+    def test_matches_pair_loop_oracle_above_the_lane_minimum(self, seqs, scores, budget):
         s = ScoringScheme(*scores)
 
         def outcome(distance_matrix):
             try:
-                return distance_matrix(seqs, s, d_max).values.tobytes()
+                return distance_matrix(seqs, s).values.tobytes()
             except ValueError as err:
                 return str(err)
 
@@ -545,7 +550,7 @@ class TestPairwiseDistanceMatrix:
         m = pairwise_distance_matrix(seqs)
         assert calls == []
         monkeypatch.undo()
-        oracle = pair_loop_distance_matrix(seqs, ScoringScheme(), 10.0)
+        oracle = pair_loop_distance_matrix(seqs, ScoringScheme())
         assert m.values.tobytes() == oracle.values.tobytes()
 
     def test_errors_name_the_pair(self):
@@ -601,25 +606,3 @@ class TestDistanceMatrixIdentity:
         assert dm.taxa == ("a", "b")
         assert upgma_build(dm).taxa == ("a", "b")
 
-
-class TestDMaxCheck:
-    @pytest.mark.parametrize(
-        "d_max", [float("nan"), float("inf"), -1.0, math.nextafter(MAX_D_MAX, math.inf)]
-    )
-    def test_rejected_before_any_pair_is_aligned(self, monkeypatch, d_max):
-        calls = []
-
-        def counting_align(a, b, s):
-            calls.append((a, b))
-            return align_strings(a, b, s)
-
-        monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
-        # Neither pair saturates, so no distance would ever read d_max.
-        seqs = [Sequence("a", "ACGTACGT"), Sequence("b", "ACGTACGA"), Sequence("c", "ACGT")]
-        with pytest.raises(ValueError, match="d_max"):
-            pairwise_distance_matrix(seqs, d_max=d_max)
-        assert calls == []
-
-    def test_zero_is_accepted(self):
-        m = pairwise_distance_matrix([Sequence("a", "AAAA"), Sequence("b", "CCCC")], d_max=0.0)
-        assert m.between("a", "b") == 0.0

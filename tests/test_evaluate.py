@@ -12,7 +12,6 @@ from helpers import (
     random_dna,
 )
 from promsa import (
-    CostScheme,
     Msa,
     ScoringScheme,
     Sequence,
@@ -28,23 +27,6 @@ def msa_of(*rows: str) -> Msa:
     return Msa(tuple(Sequence(f"r{i}", row) for i, row in enumerate(rows)))
 
 
-class TestCostScheme:
-    def test_defaults(self):
-        c = CostScheme()
-        assert c.mismatch_cost == 1.0
-        assert c.gap_letter_cost == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CostScheme(mismatch_cost=-1.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["mismatch_cost", "gap_letter_cost"])
-    def test_non_finite_rejected(self, field, bad):
-        with pytest.raises(ValueError, match="nonnegative"):
-            CostScheme(**{field: bad})
-
-
 class TestSpTotalCost:
     def test_all_matches_cost_zero(self):
         assert sp_total_cost(msa_of("AG", "AG")) == 0.0
@@ -57,11 +39,6 @@ class TestSpTotalCost:
 
     def test_gap_gap_columns_free(self):
         assert sp_total_cost(msa_of("A_", "A_", "AT")) == 2.0  # two gap-letter pairs
-
-    def test_custom_costs(self):
-        costs = CostScheme(mismatch_cost=2.5, gap_letter_cost=0.5)
-        assert sp_total_cost(msa_of("AC", "AG"), costs) == 2.5
-        assert sp_total_cost(msa_of("A_", "AT"), costs) == 0.5
 
     def test_nonnegative_and_zero_iff_identical_gapless(self):
         rng = random.Random(71)
@@ -121,8 +98,6 @@ def msas(draw, max_depth=8):
     return msa_of(*("".join(col[i] for col in columns) for i in range(depth)))
 
 
-DYADIC_COSTS = st.integers(0, 40).map(lambda quarters: quarters / 4)
-
 # Small scores, and the extremes ScoringScheme admits.
 BOUND_SCORES = st.integers(-5, 5) | st.sampled_from((-(2**31), 2**31))
 
@@ -152,21 +127,9 @@ class TestPairLoopOracle:
         assert score == pair_loop_sp_score(msa, s)
         assert type(score) is int
 
-    @given(msas(), DYADIC_COSTS, DYADIC_COSTS)
-    def test_dyadic_total_cost_equals_pair_loop(self, msa, mismatch_cost, gap_letter_cost):
-        costs = CostScheme(mismatch_cost, gap_letter_cost)
-        assert sp_total_cost(msa, costs) == pair_loop_sp_total_cost(msa, costs)
-
-    @given(
-        msas(),
-        st.floats(0, 10, allow_subnormal=False),
-        st.floats(0, 10, allow_subnormal=False),
-    )
-    def test_float_total_cost_matches_pair_loop(self, msa, mismatch_cost, gap_letter_cost):
-        # Count-times-cost and a running sum round differently in the last bits.
-        costs = CostScheme(mismatch_cost, gap_letter_cost)
-        expected = pair_loop_sp_total_cost(msa, costs)
-        assert sp_total_cost(msa, costs) == pytest.approx(expected, rel=1e-12)
+    @given(msas())
+    def test_dyadic_total_cost_equals_pair_loop(self, msa):
+        assert sp_total_cost(msa) == pair_loop_sp_total_cost(msa)
 
     @given(msas(max_depth=1))
     def test_single_row_scores_zero(self, msa):

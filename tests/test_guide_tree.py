@@ -32,7 +32,6 @@ from promsa import (
     tree_distances,
     upgma_build,
 )
-from promsa.distances import MAX_D_MAX
 from promsa.guide_tree import BuildStats, _closest_pair, leaf_depths
 
 # Additive distances realized by the tree ((a:1,b:2),(c:3,d:4)) with an
@@ -350,13 +349,17 @@ def overflowing_matrix(n: int) -> DistanceMatrix:
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), values)
 
 
+# A distance far above any the pipeline makes: builders take any finite matrix.
+D_BOUND = 1e300
+
+
 def bound_matrix(n: int, seed: int | None) -> DistanceMatrix:
-    """Every off-diagonal entry at the largest accepted d_max, as when every
-    pair saturates, or with a seed a random mix of 0 and that bound."""
+    """Every off-diagonal entry at ``D_BOUND``, as when every pair saturates
+    at a huge ceiling, or with a seed a random mix of 0 and that bound."""
     if seed is None:
-        values = np.full((n, n), MAX_D_MAX)
+        values = np.full((n, n), D_BOUND)
     else:
-        values = np.random.default_rng(seed).integers(0, 2, size=(n, n)) * MAX_D_MAX
+        values = np.random.default_rng(seed).integers(0, 2, size=(n, n)) * D_BOUND
     upper = np.triu(values, 1)
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
 
