@@ -7,8 +7,9 @@ admit as lanes of anti-diagonals, each cell carrying the site counts of its
 traceback path, and counts the rest from each pair's move string. Gap
 columns are excluded from the counts, and each distinct substitution
 fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
-the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX`` and flagged as
-saturated.
+the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps
+no saturation flag: only ``jukes_cantor``, which corrects one pair's
+counts, reports one.
 """
 
 from __future__ import annotations

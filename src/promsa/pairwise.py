@@ -1,13 +1,19 @@
 """Needleman-Wunsch global alignment under a linear match/mismatch/gap scheme.
 
-All functions are pure; matrices are per-call values, so any number of
-alignments may run concurrently.
+Every function returns a value that depends on its arguments alone, and
+matrices are per-call values. ``align_strings`` keeps a bounded memo of
+recent (a, b, scheme) keys and their results, so a pair aligned twice,
+such as a distance-stage pair that a leaf-leaf merge joins again, is
+filled once. The memo is a ``functools.lru_cache``, whose bookkeeping is
+thread-safe, so any number of alignments may still run concurrently; two
+threads may fill the same new key at once, and both get the same result.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +30,17 @@ _GAP_MOVE = {DIAG + UP: LEFT, DIAG + LEFT: UP}
 # score within 2**31 (checked by ScoringScheme), each cell stays below 2**60.
 MAX_DP_CELLS = 2**28
 _MAX_SCORE = 2**31
+
+# align_strings memoizes the results of its last _MEMO_KEYS keys of at most
+# _MEMO_SYMBOLS symbols. 64 keys hold every pair of a job below _LANE_MIN
+# through its merges: 11 sequences give 55 pairs and 10 merges, so at most 63
+# other keys come between a pair and the leaf-leaf join that aligns it again.
+# An entry holds a, b and a move string of at most len(a) + len(b) symbols,
+# 16 KiB of DNA at most (40 KiB with 4-byte code points), so the memo holds
+# at most 1 MiB of DNA (2.5 MiB). Without the length bound, one key under
+# MAX_DP_CELLS could hold over 2**29 symbols: 2**28 - 1 against an empty side.
+_MEMO_KEYS = 64
+_MEMO_SYMBOLS = 2**13
 
 # Rows at least this many cells wide are filled with numpy, narrower rows by
 # a Python loop: numpy's cost per row outweighs the cells below 24-32 cells
@@ -231,8 +248,18 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
     be aligned with the gap glyph acting as an ordinary fifth letter.
     Returns (score, moves) with moves over ``D``/``U``/``L`` in alignment
     order. Ties are broken at the earliest alignment column, preferring
-    D, then U, then L, which makes the result deterministic.
+    D, then U, then L, which makes the result deterministic. The cell budget
+    is checked on every call; a key seen among the recent calls then returns
+    its memoized result.
     """
+    check_dp_cells(len(a), len(b))
+    if len(a) + len(b) > _MEMO_SYMBOLS:
+        return _align(a, b, s)
+    return _memo_align(a, b, s)
+
+
+def _align(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
+    """``align_strings`` without the memo."""
     gap = s.gap_penalty
     diag_match, diag_mismatch = _diag_steps(s)
     ra, rb = a[::-1], b[::-1]
@@ -262,6 +289,9 @@ def align_strings(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
             j -= 1
             k -= 1
     return score, "".join(moves) + UP * i + LEFT * j
+
+
+_memo_align = lru_cache(maxsize=_MEMO_KEYS)(_align)
 
 
 def expand_by_moves(residues: str, moves: str, consume: str) -> str:

@@ -143,13 +143,19 @@ def _merge(
 ) -> Msa:
     """Align ``c1`` and ``c2``, which stand for ``rows1`` and ``rows2`` (a
     consensus, or a lone row itself), and put both row sets on the joint
-    columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows."""
+    columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows.
+    A row set whose string gains no gap is already on the joint columns and
+    is kept as it is."""
     _, moves = align_strings(c1, c2, s if s is not None else ScoringScheme())
-    return Msa(tuple(
-        Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
-        for rows, consume in ((rows1, DIAG + UP), (rows2, DIAG + LEFT))
-        for row in rows
-    ))
+    merged: list[Sequence] = []
+    for rows, consume, gap in ((rows1, DIAG + UP, LEFT), (rows2, DIAG + LEFT, UP)):
+        if gap in moves:
+            rows = tuple(
+                Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
+                for row in rows
+            )
+        merged += rows
+    return Msa(tuple(merged))
 
 
 def align_sequence_to_profile(

@@ -3,8 +3,11 @@
 The merge stage folds over the guide tree's own join log: a leaf-leaf
 join runs the pairwise aligner, a group-leaf join aligns the newcomer to
 the group's consensus, and a group-group join aligns the two consensus
-sequences, propagating inserted gaps into the owning groups. Each stage
-is timed with a monotonic clock in nanoseconds.
+sequences, propagating inserted gaps into the owning groups; a group that
+gains no gap keeps its rows. A leaf-leaf join aligns the same ordered
+residue pair as the distance stage, so where that stage aligned the pair
+on its own, not as a lane, the aligner's memo returns the moves without a
+second fill. Each stage is timed with a monotonic clock in nanoseconds.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
 align-every-pair distance loop, the whole-grid and rolling-row lock-step
 lane counts, the column-loop profile, consensus and pair tally, the
-all-gap column scan, row-pair sum-of-pairs loops, the pair-by-pair
-guide-tree join scan, the guide-tree builders over a (2n-1)-square
-working table, recursive guide-tree walks, a minimal Newick reader, and
-random tree/matrix generators. Everything here is independent of the
-code paths under test, except that the working-table builders choose each
-join with the shared ``_closest_pair``."""
+merge that rebuilds every row, the all-gap column scan, row-pair
+sum-of-pairs loops, the pair-by-pair guide-tree join scan, the guide-tree
+builders over a (2n-1)-square working table, recursive guide-tree walks,
+a minimal Newick reader, and random tree/matrix generators. Everything
+here is independent of the code paths under test, except that the
+working-table builders choose each join with the shared ``_closest_pair``
+and the rebuilding merge aligns with the shared ``align_strings``."""
 
 from __future__ import annotations
 
@@ -26,10 +27,12 @@ from promsa import (
     Sequence,
     TieBreak,
     align_global,
+    align_strings,
     column_stats,
     jukes_cantor,
 )
 from promsa.guide_tree import BuildStats, GuideTree, Merge, _closest_pair
+from promsa.pairwise import DIAG, LEFT, UP, expand_by_moves
 from promsa.profiles import SYMBOL_ORDER
 
 # The seven short test sequences used throughout (degapped).
@@ -133,6 +136,20 @@ def loop_expand_by_moves(residues: str, moves: str, consume: str) -> str:
     if pos != len(residues):
         raise ValueError("move string does not consume the whole sequence")
     return "".join(out)
+
+
+def rebuild_merge(
+    rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
+    s: ScoringScheme,
+) -> Msa:
+    """``profiles._merge`` that rebuilds every row of both sides, whether
+    or not the alignment of ``c1`` and ``c2`` puts a gap into it."""
+    _, moves = align_strings(c1, c2, s)
+    return Msa(tuple(
+        Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
+        for rows, consume in ((rows1, DIAG + UP), (rows2, DIAG + LEFT))
+        for row in rows
+    ))
 
 
 def first_all_gap_column(rows) -> int | None:

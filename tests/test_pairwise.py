@@ -19,7 +19,8 @@ from promsa import (
     align_strings,
     build_dp_matrix,
 )
-from promsa.pairwise import MAX_DP_CELLS, expand_by_moves
+import promsa.pairwise
+from promsa.pairwise import _MEMO_SYMBOLS, MAX_DP_CELLS, _memo_align, expand_by_moves
 
 FIG2_SCHEME = ScoringScheme(3, 1, -1)
 SETUP_SCHEME = ScoringScheme(3, 0, -1)
@@ -222,6 +223,21 @@ class TestAlignStrings:
         with pytest.raises(ValueError, match=rf"lengths {m} and {n} .*{MAX_DP_CELLS}"):
             align_strings("A" * m, "A" * n, SETUP_SCHEME)
 
+    def test_budget_is_checked_on_a_memoized_key(self, monkeypatch):
+        a, b = "ACGTTGCA" * 3, "TTGCA" * 3
+        align_strings(a, b, SETUP_SCHEME)
+        budget = (len(a) + 1) * (len(b) + 1) - 1
+        monkeypatch.setattr(promsa.pairwise, "MAX_DP_CELLS", budget)
+        with pytest.raises(ValueError, match=rf"lengths {len(a)} and {len(b)} .*{budget}"):
+            align_strings(a, b, SETUP_SCHEME)
+
+    # The memo bounds what it holds by keeping no key over _MEMO_SYMBOLS.
+    @pytest.mark.parametrize("extra, held", [(0, 1), (1, 0)])
+    def test_memo_holds_keys_up_to_the_symbol_bound(self, extra, held):
+        a = "A" * (_MEMO_SYMBOLS + extra)
+        assert align_strings(a, "", SETUP_SCHEME) == (-len(a), "U" * len(a))
+        assert _memo_align.cache_info().currsize == held
+
 
 SYMBOLS = "ACGT_é\ud800"
 
@@ -238,9 +254,14 @@ class TestScalarOracle:
     def test_kernel_equals_scalar_oracle(self, a, b, match, mismatch, gap):
         s = ScoringScheme(match, mismatch, gap)
         if a or b:
-            result = align_strings(a, b, s)
-            assert result == scalar_align_strings(a, b, s)
-            assert type(result[0]) is int
+            # A cold call fills the grid, a warm one returns the memoized result.
+            _memo_align.cache_clear()
+            expected = scalar_align_strings(a, b, s)
+            for _ in range(2):
+                result = align_strings(a, b, s)
+                assert result == expected
+                assert type(result[0]) is int
+            assert _memo_align.cache_info().hits == 1
         a, b = a.replace("_", ""), b.replace("_", "")
         cells = build_dp_matrix(a, b, s).cells
         assert cells == tuple(tuple(row) for row in scalar_fill(a, b, s))

@@ -10,6 +10,7 @@ from helpers import (
     loop_consensus,
     msa_of_rows,
     random_dna,
+    rebuild_merge,
     string_profile_counts,
 )
 from promsa import (
@@ -20,9 +21,12 @@ from promsa import (
     TieBreak,
     align_profile_to_profile,
     align_sequence_to_profile,
+    align_strings,
     build_profile,
     consensus,
 )
+from promsa.profiles import _merge
+from promsa.sequences import GAP
 
 # The four-row alignment used for the worked profile example.
 PROFILE_ROWS = ("AGT_C", "AGTGC", "ATTG_", "TG_GT")
@@ -242,3 +246,51 @@ class TestAlignProfileToProfile:
             assert [r.residues.replace("_", "") for r in merged.rows] == degapped
             # constructing the Msa already checked rectangularity and
             # the absence of all-gap columns
+
+
+@st.composite
+def merge_operands(draw):
+    """(group rows, second operand, tie mode, tie seed, scores). The second
+    operand is another group's rows, or a lone row cut from or grown around
+    the first group's letters, so that either side may gain no gap."""
+    rows = draw(gapped_rows(min_depth=2))
+    kind = draw(st.sampled_from(["group", "cut", "grown"]))
+    if kind == "group":
+        other = draw(gapped_rows(min_depth=2))
+    else:
+        letters = max(rows, key=lambda row: len(row.replace(GAP, ""))).replace(GAP, "")
+        picks = draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+        if kind == "cut":
+            other = "".join(x for x, keep in zip(letters, picks) if keep) or letters
+        else:
+            other = "".join(x + "T" * grow for x, grow in zip(letters, picks))
+    return (
+        rows,
+        other,
+        draw(st.sampled_from([TieBreak.LEX, TieBreak.RANDOM])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (2, 1, -1)])),
+    )
+
+
+class TestMerge:
+    @given(merge_operands())
+    def test_equals_rebuild_oracle_and_keeps_rows_without_gaps(self, operands):
+        rows, other, mode, seed, scores = operands
+        s, tie = ScoringScheme(*scores), TieBreak(mode, seed)
+        group = msa_of_rows(rows)
+        c1 = consensus(build_profile(group), tie).residues
+        if isinstance(other, str):
+            rows2, c2 = (Sequence("new", other),), other
+        else:
+            rows2 = tuple(Sequence(f"q{i}", row) for i, row in enumerate(other))
+            c2 = consensus(build_profile(Msa(rows2)), tie).residues
+        merged = _merge(group.rows, c1, rows2, c2, s)
+        assert merged.rows == rebuild_merge(group.rows, c1, rows2, c2, s).rows
+        _, moves = align_strings(c1, c2, s)
+        split = group.depth
+        for before, after, gap in (
+            (group.rows, merged.rows[:split], "L"),
+            (rows2, merged.rows[split:], "U"),
+        ):
+            assert all(new is old for new, old in zip(after, before)) == (gap not in moves)

@@ -20,6 +20,7 @@ from promsa import (
     verify_msa_against_inputs,
     write_fasta,
 )
+import promsa.pairwise
 import promsa.progressive
 from promsa.distances import DEFAULT_D_MAX
 
@@ -168,6 +169,27 @@ class TestProgressiveAlign:
         report = progressive_align(seqs, _config(method, TieBreak("random", 7)))
         text = write_fasta(report.msa.rows) + to_newick(report.guide_tree)
         assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("method", ["upgma", "nj"])
+    def test_leaf_leaf_joins_reuse_the_distance_stage_alignments(self, monkeypatch, method):
+        # 28 pairs, below the lane minimum: the distance stage aligns each
+        # one, and a leaf-leaf join aligns one of them again.
+        rng = random.Random(85)
+        seqs = [Sequence(f"s{i}", random_dna(rng, 20, 20)) for i in range(8)]
+        n = len(seqs)
+        assert len({seq.residues for seq in seqs}) == n
+        fills = []
+        fill = promsa.pairwise._fill
+
+        def counting_fill(a, b, s):
+            fills.append((a, b))
+            return fill(a, b, s)
+
+        monkeypatch.setattr(promsa.pairwise, "_fill", counting_fill)
+        report = progressive_align(seqs, _config(method))
+        leaf_leaf = sum(step.right < n for step in report.guide_tree.merge_log)
+        assert leaf_leaf >= 1
+        assert len(fills) == n * (n - 1) // 2 + n - 1 - leaf_leaf
 
     def test_timings_nonnegative_and_consistent(self):
         report = progressive_align(setup1_sequences(), _config())
