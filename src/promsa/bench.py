@@ -43,10 +43,10 @@ class BenchRecord:
             method=report.guide_tree.method,
             n_sequences=len(seqs),
             mean_length=sum(len(s) for s in seqs) / len(seqs),
-            distance_ms=t.distance_ms,
-            tree_ms=t.tree_ms,
-            merge_ms=t.merge_ms,
-            total_ms=t.total_ms,
+            distance_ms=t.distance_ns // 1_000_000,
+            tree_ms=t.tree_ns // 1_000_000,
+            merge_ms=t.merge_ns // 1_000_000,
+            total_ms=t.total_ns // 1_000_000,
             total_cost=report.total_cost,
             sp_score=report.sp_score,
             seed=seed,
@@ -65,7 +65,7 @@ def run_bench(
     reps: int,
     seed: int,
     methods: tuple[str, ...] = GUIDE_METHODS,
-    scoring: ScoringScheme | None = None,
+    scoring: ScoringScheme = ScoringScheme(),
     large_seqs: list[Sequence] | None = None,
 ) -> list[BenchRecord]:
     """Run every class x method x repetition cell and collect records.
@@ -84,7 +84,6 @@ def run_bench(
     for method in methods:
         if method not in GUIDE_METHODS:
             raise ValueError(f"unknown method {method!r}")
-    scoring = scoring if scoring is not None else ScoringScheme()
 
     records: list[BenchRecord] = []
     for name in classes:

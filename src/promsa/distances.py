@@ -152,7 +152,7 @@ class DistanceMatrix:
 
 def pairwise_distance_matrix(
     seqs: list[Sequence] | tuple[Sequence, ...],
-    s: ScoringScheme | None = None,
+    s: ScoringScheme = ScoringScheme(),
 ) -> DistanceMatrix:
     """Jukes-Cantor distances for every unordered pair of input sequences.
 
@@ -168,7 +168,6 @@ def pairwise_distance_matrix(
     column is named, and no pair after one over the budget is aligned.
     """
     ids = check_raw_inputs(seqs)
-    s = s if s is not None else ScoringScheme()
     n = len(seqs)
     residues = [seq.residues for seq in seqs]
     # Number the distinct residue strings, then the distinct ordered keys.

@@ -45,12 +45,11 @@ def sp_total_cost(msa: Msa) -> float:
     return float(mismatch + residue_gap)
 
 
-def sp_score(msa: Msa, s: ScoringScheme | None = None) -> int:
+def sp_score(msa: Msa, s: ScoringScheme = ScoringScheme()) -> int:
     """Sum-of-pairs score under a match/mismatch/gap scheme.
 
     Gap-gap columns contribute zero, so for a two-row alignment produced
     by the global aligner this equals the pairwise alignment score.
     """
-    s = s if s is not None else ScoringScheme()
     match, mismatch, residue_gap = _pair_counts(msa)
     return match * s.match_score + mismatch * s.mismatch_score + residue_gap * s.gap_penalty

@@ -7,6 +7,9 @@ such as a distance-stage pair that a leaf-leaf merge joins again, is
 filled once. The memo is a ``functools.lru_cache``, whose bookkeeping is
 thread-safe, so any number of alignments may still run concurrently; two
 threads may fill the same new key at once, and both get the same result.
+Each pipeline run empties the memo as it starts, so a run in another
+thread may empty it mid-run, which costs that run its reuse, not its
+result.
 """
 
 from __future__ import annotations
@@ -178,10 +181,9 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     F[i-1][j-1] + s_ij - 2g, F[i-1][j] and F[i][j-1], so a whole row is one
     elementwise step followed by a running maximum. Returns the
     (len(a)+1) x (len(b)+1) grid flattened row by row; indexing it gives
-    plain ints.
+    plain ints. The caller checks the cell budget.
     """
     m, n = len(a), len(b)
-    check_dp_cells(m, n)
     diag_match, diag_mismatch = _diag_steps(s)
     if n + 1 >= _VECTOR_MIN_WIDTH:
         dtype = _grid_dtype(m, n, diag_match, diag_mismatch)
@@ -230,6 +232,7 @@ def build_dp_matrix(a: Sequence | str, b: Sequence | str, s: ScoringScheme) -> D
     """
     sa = _parts(a, "a")[1]
     sb = _parts(b, "b")[1]
+    check_dp_cells(len(sa), len(sb))
     flat = _fill(sa, sb, s)
     width = len(sb) + 1
     gap = s.gap_penalty
@@ -429,7 +432,7 @@ def _lane_codes(strings: list[str], width: int) -> np.ndarray:
 
 
 def align_global(
-    a: Sequence | str, b: Sequence | str, s: ScoringScheme | None = None
+    a: Sequence | str, b: Sequence | str, s: ScoringScheme = ScoringScheme()
 ) -> PairwiseAlignment:
     """Globally align two gapless sequences.
 
@@ -437,7 +440,6 @@ def align_global(
     the corner cell of ``build_dp_matrix`` and is reproduced by rescoring
     the output columns.
     """
-    s = s if s is not None else ScoringScheme()
     id_a, sa, desc_a = _parts(a, "a")
     id_b, sb, desc_b = _parts(b, "b")
     if not sa and not sb:

@@ -117,7 +117,7 @@ def build_profile(msa: Msa) -> ProfileMatrix:
     return ProfileMatrix(counts.reshape(msa.width, len(SYMBOL_ORDER)), msa.depth)
 
 
-def consensus(profile: ProfileMatrix, tie: TieBreak | None = None) -> Sequence:
+def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
     """Extract the per-column majority sequence from a profile.
 
     At each position the unique most frequent symbol wins; on a tie the
@@ -125,7 +125,6 @@ def consensus(profile: ProfileMatrix, tie: TieBreak | None = None) -> Sequence:
     in column order, so a random policy draws in the same columns and order
     as a walk over every column.
     """
-    tie = tie if tie is not None else TieBreak()
     counts = profile.counts
     # argmax takes the first leader in SYMBOL_ORDER, which is the lex rule.
     out = _SYMBOL_CODES[counts.argmax(axis=1)]
@@ -139,14 +138,14 @@ def consensus(profile: ProfileMatrix, tie: TieBreak | None = None) -> Sequence:
 
 def _merge(
     rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
-    s: ScoringScheme | None,
+    s: ScoringScheme,
 ) -> Msa:
     """Align ``c1`` and ``c2``, which stand for ``rows1`` and ``rows2`` (a
     consensus, or a lone row itself), and put both row sets on the joint
     columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows.
     A row set whose string gains no gap is already on the joint columns and
     is kept as it is."""
-    _, moves = align_strings(c1, c2, s if s is not None else ScoringScheme())
+    _, moves = align_strings(c1, c2, s)
     merged: list[Sequence] = []
     for rows, consume, gap in ((rows1, DIAG + UP, LEFT), (rows2, DIAG + LEFT, UP)):
         if gap in moves:
@@ -161,8 +160,8 @@ def _merge(
 def align_sequence_to_profile(
     group: Msa,
     newcomer: Sequence,
-    s: ScoringScheme | None = None,
-    tie: TieBreak | None = None,
+    s: ScoringScheme = ScoringScheme(),
+    tie: TieBreak = TieBreak(),
 ) -> Msa:
     """Merge a gapless sequence into an aligned group.
 
@@ -179,8 +178,8 @@ def align_sequence_to_profile(
 def align_profile_to_profile(
     g1: Msa,
     g2: Msa,
-    s: ScoringScheme | None = None,
-    tie: TieBreak | None = None,
+    s: ScoringScheme = ScoringScheme(),
+    tie: TieBreak = TieBreak(),
 ) -> Msa:
     """Merge two aligned groups via their consensus sequences.
 

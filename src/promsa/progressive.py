@@ -1,24 +1,27 @@
 """Progressive alignment pipeline: distances, guide tree, ordered merging.
 
-The merge stage folds over the guide tree's own join log: a leaf-leaf
-join runs the pairwise aligner, a group-leaf join aligns the newcomer to
-the group's consensus, and a group-group join aligns the two consensus
-sequences, propagating inserted gaps into the owning groups; a group that
-gains no gap keeps its rows. A leaf-leaf join aligns the same ordered
-residue pair as the distance stage, so where that stage aligned the pair
-on its own, not as a lane, the aligner's memo returns the moves without a
-second fill. Each stage is timed with a monotonic clock in nanoseconds.
+A run is three stages, each timed with a monotonic clock in nanoseconds.
+The merge stage, ``merge_along``, folds over a join log such as the guide
+tree's own: a leaf-leaf join runs the pairwise aligner, a group-leaf join
+aligns the newcomer to the group's consensus, and a group-group join
+aligns the two consensus sequences, propagating inserted gaps into the
+owning groups; a group that gains no gap keeps its rows. A leaf-leaf join
+aligns the same ordered residue pair as the distance stage, so where that
+stage aligned the pair on its own, not as a lane, the aligner's memo
+returns the moves without a second fill. Each run starts with an empty
+memo, so that it reuses only its own alignments.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .distances import DistanceMatrix, pairwise_distance_matrix
 from .evaluate import sp_score, sp_total_cost
-from .guide_tree import GuideTree, nj_build, upgma_build
-from .pairwise import ScoringScheme, align_global
+from .guide_tree import GuideTree, Merge, nj_build, upgma_build
+from .pairwise import ScoringScheme, _memo_align, align_global
 from .profiles import TieBreak, align_profile_to_profile, align_sequence_to_profile
 from .sequences import Msa, Sequence, check_raw_inputs
 
@@ -47,28 +50,12 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StageTimings:
-    """Stage wall times in ns; the ``*_ms`` views round down to whole ms."""
+    """Stage wall times in ns, from a monotonic clock."""
 
     distance_ns: int
     tree_ns: int
     merge_ns: int
     total_ns: int
-
-    @property
-    def distance_ms(self) -> int:
-        return self.distance_ns // 1_000_000
-
-    @property
-    def tree_ms(self) -> int:
-        return self.tree_ns // 1_000_000
-
-    @property
-    def merge_ms(self) -> int:
-        return self.merge_ns // 1_000_000
-
-    @property
-    def total_ms(self) -> int:
-        return self.total_ns // 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,53 +68,59 @@ class PipelineReport:
     timings: StageTimings
 
 
+def merge_along(
+    seqs: list[Sequence] | tuple[Sequence, ...],
+    merge_log: tuple[Merge, ...],
+    scoring: ScoringScheme,
+    tie: TieBreak,
+) -> Msa:
+    """Merge gapless ``seqs`` in the order of ``merge_log``, whose leaves
+    index ``seqs``, and return the alignment with its rows in input order."""
+    groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
+    for step in merge_log:
+        left = groups.pop(step.left)
+        right = groups.pop(step.right)
+        if isinstance(left, Sequence) and isinstance(right, Sequence):
+            merged = align_global(left, right, scoring).to_msa()
+        elif isinstance(left, Msa) and isinstance(right, Msa):
+            merged = align_profile_to_profile(left, right, scoring, tie)
+        else:  # a group stays first when it meets a lone row
+            group, lone = (left, right) if isinstance(left, Msa) else (right, left)
+            merged = align_sequence_to_profile(group, lone, scoring, tie)
+        groups[step.new] = merged
+    (alignment,) = groups.values()
+    by_id = {row.id: row for row in alignment.rows}
+    return Msa(tuple(by_id[seq.id] for seq in seqs))
+
+
+def _stage(name: str, fn: Callable, *args):
+    """(fn(*args), the clock when it returned); a failure is re-raised as a
+    PipelineError naming the stage."""
+    try:
+        return fn(*args), time.monotonic_ns()
+    except Exception as err:
+        raise PipelineError(name, err) from err
+
+
 def progressive_align(
-    seqs: list[Sequence] | tuple[Sequence, ...], cfg: PipelineConfig | None = None
+    seqs: list[Sequence] | tuple[Sequence, ...], cfg: PipelineConfig = PipelineConfig()
 ) -> PipelineReport:
     """Run the full pipeline over gapless input sequences.
 
     The final alignment's rows are reordered to the input order. Errors
     are re-raised as PipelineError naming the failing stage.
     """
-    cfg = cfg if cfg is not None else PipelineConfig()
     seqs = tuple(seqs)
-    ids = check_raw_inputs(seqs)
-    tie = cfg.tie.fresh()
-
+    check_raw_inputs(seqs)
+    # A run is timed on its own work, not on alignments an earlier run left.
+    _memo_align.cache_clear()
     start_ns = time.monotonic_ns()
-    try:
-        matrix = pairwise_distance_matrix(seqs, cfg.scoring)
-    except Exception as err:
-        raise PipelineError("distance", err) from err
-    distance_end_ns = time.monotonic_ns()
-
-    try:
-        build = upgma_build if cfg.guide_method == "upgma" else nj_build
-        tree = build(matrix)
-    except Exception as err:
-        raise PipelineError("tree", err) from err
-    tree_end_ns = time.monotonic_ns()
-
-    try:
-        groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
-        for step in tree.merge_log:
-            left = groups.pop(step.left)
-            right = groups.pop(step.right)
-            if isinstance(left, Sequence) and isinstance(right, Sequence):
-                merged = align_global(left, right, cfg.scoring).to_msa()
-            elif isinstance(left, Msa) and isinstance(right, Msa):
-                merged = align_profile_to_profile(left, right, cfg.scoring, tie)
-            else:  # a group stays first when it meets a lone row
-                group, lone = (left, right) if isinstance(left, Msa) else (right, left)
-                merged = align_sequence_to_profile(group, lone, cfg.scoring, tie)
-            groups[step.new] = merged
-        (alignment,) = groups.values()
-        by_id = {row.id: row for row in alignment.rows}
-        alignment = Msa(tuple(by_id[i] for i in ids))
-    except Exception as err:
-        raise PipelineError("merge", err) from err
-    merge_end_ns = time.monotonic_ns()
-
+    matrix, distance_end = _stage("distance", pairwise_distance_matrix, seqs, cfg.scoring)
+    build = upgma_build if cfg.guide_method == "upgma" else nj_build
+    tree, tree_end = _stage("tree", build, matrix)
+    alignment, merge_end = _stage(
+        "merge", merge_along, seqs, tree.merge_log, cfg.scoring, cfg.tie.fresh()
+    )
     return PipelineReport(
         distance_matrix=matrix,
         guide_tree=tree,
@@ -135,9 +128,9 @@ def progressive_align(
         total_cost=sp_total_cost(alignment),
         sp_score=sp_score(alignment, cfg.scoring),
         timings=StageTimings(
-            distance_ns=distance_end_ns - start_ns,
-            tree_ns=tree_end_ns - distance_end_ns,
-            merge_ns=merge_end_ns - tree_end_ns,
-            total_ns=merge_end_ns - start_ns,
+            distance_ns=distance_end - start_ns,
+            tree_ns=tree_end - distance_end,
+            merge_ns=merge_end - tree_end,
+            total_ns=merge_end - start_ns,
         ),
     )

@@ -216,12 +216,14 @@ class TestAlignStrings:
         else:
             assert expand_by_moves(residues, moves, consume) == expected
 
-    # Wide rows and narrow ones: the budget is checked before either fill.
+    # Wide rows and narrow ones: the budget is checked before either fill,
+    # by both callers of the fill.
+    @pytest.mark.parametrize("fill", [align_strings, build_dp_matrix])
     @pytest.mark.parametrize("m, n", [(16384, 16384), (MAX_DP_CELLS // 31, 30)])
-    def test_grid_over_the_cell_budget_rejected(self, m, n):
+    def test_grid_over_the_cell_budget_rejected(self, m, n, fill):
         assert (m + 1) * (n + 1) > MAX_DP_CELLS
         with pytest.raises(ValueError, match=rf"lengths {m} and {n} .*{MAX_DP_CELLS}"):
-            align_strings("A" * m, "A" * n, SETUP_SCHEME)
+            fill("A" * m, "A" * n, SETUP_SCHEME)
 
     def test_budget_is_checked_on_a_memoized_key(self, monkeypatch):
         a, b = "ACGTTGCA" * 3, "TTGCA" * 3

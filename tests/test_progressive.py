@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_dna, setup1_sequences
 from promsa import (
+    Merge,
     Msa,
     PipelineConfig,
     PipelineError,
@@ -20,9 +21,12 @@ from promsa import (
     verify_msa_against_inputs,
     write_fasta,
 )
+import promsa.bench
 import promsa.pairwise
 import promsa.progressive
+from promsa.bench import BenchRecord, run_bench
 from promsa.distances import DEFAULT_D_MAX
+from promsa.progressive import merge_along
 
 
 # Twelve short sequences over rotated and paired letters: most consensus
@@ -97,6 +101,30 @@ class TestMergeSchedule:
             DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         )
         assert len(tree.merge_log) == 1
+
+
+class TestMergeAlong:
+    @pytest.mark.parametrize("tie", [TieBreak(), TieBreak("random", 7)], ids=["lex", "random"])
+    @pytest.mark.parametrize("method", ["upgma", "nj"])
+    def test_replays_the_pipeline_merge_stage(self, method, tie):
+        seqs = [Sequence(f"t{i + 1}", residues) for i, residues in enumerate(TIE_HEAVY)]
+        cfg = _config(method, tie)
+        report = progressive_align(seqs, cfg)
+        replayed = merge_along(seqs, report.guide_tree.merge_log, cfg.scoring, cfg.tie.fresh())
+        assert replayed == report.msa
+
+    def test_hand_built_caterpillar_log(self):
+        # ((((s2, s4), s0), s1), s3): one leaf-leaf join, then a lone row
+        # joins the group from either side.
+        residues = ("ACGTT", "AGT", "CCGTA", "ACG", "TTGCA")
+        seqs = [Sequence(f"s{i}", r) for i, r in enumerate(residues)]
+        log = tuple(
+            Merge(left, right, new, 0.0, 0.0, 0.0)
+            for left, right, new in ((2, 4, 5), (0, 5, 6), (6, 1, 7), (3, 7, 8))
+        )
+        msa = merge_along(seqs, log, ScoringScheme(), TieBreak())
+        verify_msa_against_inputs(msa, seqs)
+        assert msa.row_ids() == tuple(seq.id for seq in seqs)
 
 
 class TestProgressiveAlign:
@@ -191,17 +219,46 @@ class TestProgressiveAlign:
         assert leaf_leaf >= 1
         assert len(fills) == n * (n - 1) // 2 + n - 1 - leaf_leaf
 
+    def test_every_bench_run_fills_its_own_grids(self, monkeypatch):
+        # The input above: each run fills what it aligns, whatever ran before.
+        rng = random.Random(85)
+        seqs = [Sequence(f"s{i}", random_dna(rng, 20, 20)) for i in range(8)]
+        n = len(seqs)
+        fills = []
+        fill = promsa.pairwise._fill
+
+        def counting_fill(a, b, s):
+            fills.append((a, b))
+            return fill(a, b, s)
+
+        runs = []
+
+        def counting_align(seqs, cfg):
+            before = len(fills)
+            report = progressive_align(seqs, cfg)
+            leaf_leaf = sum(step.right < n for step in report.guide_tree.merge_log)
+            runs.append((len(fills) - before, n * (n - 1) // 2 + n - 1 - leaf_leaf))
+            return report
+
+        monkeypatch.setattr(promsa.pairwise, "_fill", counting_fill)
+        monkeypatch.setattr(promsa.bench, "progressive_align", counting_align)
+        run_bench(["large"], reps=2, seed=0, large_seqs=seqs)
+        assert len(runs) == 4
+        assert [filled for filled, _ in runs] == [expected for _, expected in runs]
+
     def test_timings_nonnegative_and_consistent(self):
         report = progressive_align(setup1_sequences(), _config())
         t = report.timings
-        assert min(t.distance_ms, t.tree_ms, t.merge_ms, t.total_ms) >= 0
-        assert t.total_ms >= t.distance_ms + t.tree_ms + t.merge_ms - 1
+        assert min(t.distance_ns, t.tree_ns, t.merge_ns, t.total_ns) >= 0
+        assert t.total_ns == t.distance_ns + t.tree_ns + t.merge_ns
 
     def test_ms_timings_derive_from_ns(self):
-        t = progressive_align(setup1_sequences(), _config()).timings
+        seqs = setup1_sequences()
+        report = progressive_align(seqs, _config())
+        record = BenchRecord.from_report(seqs, report, seed=0)
         for stage in ("distance", "tree", "merge", "total"):
-            assert getattr(t, f"{stage}_ms") == getattr(t, f"{stage}_ns") // 1_000_000
-        assert t.total_ns >= t.distance_ns + t.tree_ns + t.merge_ns
+            ns = getattr(report.timings, f"{stage}_ns")
+            assert getattr(record, f"{stage}_ms") == ns // 1_000_000
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="two"):
@@ -211,16 +268,22 @@ class TestProgressiveAlign:
         with pytest.raises(ValueError, match="gaps"):
             progressive_align([Sequence("a", "A_C"), Sequence("b", "GT")], _config())
 
-    def test_stage_errors_are_annotated(self, monkeypatch):
+    @pytest.mark.parametrize(
+        ("stage", "name"),
+        [("distance", "pairwise_distance_matrix"), ("tree", "upgma_build"),
+         ("merge", "align_global")],
+    )
+    def test_stage_errors_are_annotated(self, monkeypatch, stage, name):
         def explode(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(promsa.progressive, "pairwise_distance_matrix", explode)
-        with pytest.raises(PipelineError, match="distance stage") as err:
+        monkeypatch.setattr(promsa.progressive, name, explode)
+        with pytest.raises(PipelineError, match=f"{stage} stage failed: boom") as err:
             progressive_align(
                 [Sequence("a", "ACGT"), Sequence("b", "AGT")], _config()
             )
-        assert err.value.stage == "distance"
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, ValueError)
 
     @pytest.mark.parametrize("method", ["upgma", "nj"])
     def test_saturated_pairs_align_without_warnings(self, method):
