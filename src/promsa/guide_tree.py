@@ -39,7 +39,6 @@ class Merge:
 
 @dataclass(frozen=True)
 class BuildStats:
-    iterations: int
     pairs_scanned: int
 
 
@@ -117,7 +116,7 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
         taxa=m.taxa,
         merge_log=tuple(log),
         # The k x k tables for k = n..2 cover sum k(k-1)/2 = C(n+1, 3) pairs.
-        stats=BuildStats(iterations=n - 1, pairs_scanned=math.comb(n + 1, 3)),
+        stats=BuildStats(pairs_scanned=math.comb(n + 1, 3)),
     )
 
 
@@ -188,7 +187,7 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         taxa=m.taxa,
         merge_log=tuple(log),
         # As for UPGMA, but the last table scanned has 3 clusters, not 2.
-        stats=BuildStats(iterations=n - 2, pairs_scanned=math.comb(n + 1, 3) - 1),
+        stats=BuildStats(pairs_scanned=math.comb(n + 1, 3) - 1),
         final_edge_length=final,
     )
 

@@ -114,14 +114,6 @@ class DpMatrix:
 
     cells: tuple[tuple[int, ...], ...]
 
-    @property
-    def corner(self) -> int:
-        return self.cells[-1][-1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.cells), len(self.cells[0]))
-
 
 @dataclass(frozen=True)
 class PairwiseAlignment:
@@ -134,10 +126,6 @@ class PairwiseAlignment:
     def __post_init__(self):
         if len(self.row_a) != len(self.row_b):
             raise ValueError("alignment rows differ in length")
-
-    @property
-    def width(self) -> int:
-        return len(self.row_a)
 
     def to_msa(self) -> Msa:
         return Msa((self.row_a, self.row_b))

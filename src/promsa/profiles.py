@@ -94,10 +94,6 @@ class ProfileMatrix:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def width(self) -> int:
-        return len(self.counts)
-
     def column_frequencies(self, column: int) -> dict[str, float]:
         return {
             symbol: count / self.depth

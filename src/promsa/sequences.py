@@ -167,6 +167,9 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
     if not text.strip():
         raise FastaError("empty FASTA input")
 
+    # What a body line may hold: \s matches exactly what str.split() drops,
+    # and no character but acgt upper-cases into ALPHABET or a gap glyph.
+    illegal = re.compile(rf"[^{ALPHABET}{ALPHABET.lower()}\s{'_-' if allow_gaps else ''}]")
     records: list[Sequence] = []
     seen: set[str] = set()
     header: tuple[str, str] | None = None
@@ -177,9 +180,10 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
         if header is None:
             return
         seq_id, description = header
-        if not body:
+        residues = "".join("".join(body).split()).upper().replace("-", GAP)
+        if not residues:
             raise FastaError(f"record {seq_id!r} has an empty body", header_line)
-        records.append(Sequence(seq_id, "".join(body), description))
+        records.append(Sequence(seq_id, residues, description))
 
     offset = 0
     for lineno, raw_line in enumerate(_LINE.findall(text), start=1):
@@ -199,24 +203,17 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
         else:
             if header is None and line.strip():
                 raise FastaError("sequence data before first '>' header", lineno, offset)
-            for col, ch in enumerate(line):
-                if ch.isspace():
-                    continue
-                up = ch.upper()
-                if up in ALPHABET:
-                    body.append(up)
-                elif up in "-_" and allow_gaps:
-                    body.append(GAP)
-                else:
-                    at = offset + len(line[:col].encode())  # byte offset, not characters
-                    if up in "-_":
-                        raise FastaError(f"gap character {ch!r} in raw sequence", lineno, at)
-                    raise FastaError(f"illegal character {ch!r}", lineno, at)
+            bad = illegal.search(line)
+            if bad:
+                ch = bad.group()
+                at = offset + len(line[: bad.start()].encode())  # byte offset, not characters
+                if ch in "-_":
+                    raise FastaError(f"gap character {ch!r} in raw sequence", lineno, at)
+                raise FastaError(f"illegal character {ch!r}", lineno, at)
+            body.append(line)
         offset += len(raw_line.encode())
 
     flush()
-    if not records:
-        raise FastaError("no FASTA records found")
     return records
 
 

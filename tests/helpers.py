@@ -1,4 +1,5 @@
-"""Shared test oracles: exhaustive alignment enumeration, the scalar
+"""Shared test oracles: the character-loop FASTA reader, exhaustive
+alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
 align-every-pair distance loop, the whole-grid and rolling-row lock-step
 lane counts, the column-loop profile, consensus and pair tally, the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from promsa import (
     GAP,
     DistanceMatrix,
+    FastaError,
     Msa,
     ScoringScheme,
     Sequence,
@@ -34,6 +37,7 @@ from promsa import (
 from promsa.guide_tree import BuildStats, GuideTree, Merge, _closest_pair
 from promsa.pairwise import DIAG, LEFT, UP, expand_by_moves
 from promsa.profiles import SYMBOL_ORDER
+from promsa.sequences import _LINE, _LINE_END, ALPHABET
 
 # The seven short test sequences used throughout (degapped).
 SETUP1 = (
@@ -49,6 +53,70 @@ SETUP1 = (
 
 def setup1_sequences() -> list[Sequence]:
     return [Sequence(f"s{i + 1}", residues) for i, residues in enumerate(SETUP1)]
+
+
+def char_loop_parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
+    """``parse_fasta`` checking each body character in a Python loop."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = len(re.findall(_LINE_END.encode(), text[: err.start])) + 1
+            raise FastaError("input is not valid UTF-8", line, err.start) from None
+    if not text.strip():
+        raise FastaError("empty FASTA input")
+
+    records: list[Sequence] = []
+    seen: set[str] = set()
+    header: tuple[str, str] | None = None
+    body: list[str] = []
+    header_line = 0
+
+    def flush():
+        if header is None:
+            return
+        seq_id, description = header
+        if not body:
+            raise FastaError(f"record {seq_id!r} has an empty body", header_line)
+        records.append(Sequence(seq_id, "".join(body), description))
+
+    offset = 0
+    for lineno, raw_line in enumerate(_LINE.findall(text), start=1):
+        line = raw_line.rstrip("\r\n")
+        if line.startswith(">"):
+            flush()
+            fields = line[1:].strip().split(None, 1)
+            if not fields:
+                raise FastaError("header line has no identifier", lineno, offset)
+            seq_id = fields[0]
+            if seq_id in seen:
+                raise FastaError(f"duplicate identifier {seq_id!r}", lineno, offset)
+            seen.add(seq_id)
+            header = (seq_id, fields[1] if len(fields) > 1 else "")
+            header_line = lineno
+            body = []
+        else:
+            if header is None and line.strip():
+                raise FastaError("sequence data before first '>' header", lineno, offset)
+            for col, ch in enumerate(line):
+                if ch.isspace():
+                    continue
+                up = ch.upper()
+                if up in ALPHABET:
+                    body.append(up)
+                elif up in "-_" and allow_gaps:
+                    body.append(GAP)
+                else:
+                    at = offset + len(line[:col].encode())
+                    if up in "-_":
+                        raise FastaError(f"gap character {ch!r} in raw sequence", lineno, at)
+                    raise FastaError(f"illegal character {ch!r}", lineno, at)
+        offset += len(raw_line.encode())
+
+    flush()
+    if not records:
+        raise FastaError("no FASTA records found")
+    return records
 
 
 def brute_force_score(a: str, b: str, match: int, mismatch: int, gap: int) -> int:
@@ -398,7 +466,7 @@ def working_table_upgma_build(m: DistanceMatrix) -> GuideTree:
         method="upgma",
         taxa=m.taxa,
         merge_log=tuple(log),
-        stats=BuildStats(iterations=n - 1, pairs_scanned=scanned_total),
+        stats=BuildStats(pairs_scanned=scanned_total),
     )
 
 
@@ -412,11 +480,9 @@ def working_table_nj_build(m: DistanceMatrix) -> GuideTree:
     live = list(range(n))
     log: list[Merge] = []
     scanned_total = 0
-    iterations = 0
     new = n
 
     while len(live) > 2:
-        iterations += 1
         sub = table[np.ix_(live, live)]
         rates = sub.sum(axis=1) / (len(live) - 2)
         scanned_total += len(live) * (len(live) - 1) // 2
@@ -443,7 +509,7 @@ def working_table_nj_build(m: DistanceMatrix) -> GuideTree:
         method="nj",
         taxa=m.taxa,
         merge_log=tuple(log),
-        stats=BuildStats(iterations=iterations, pairs_scanned=scanned_total),
+        stats=BuildStats(pairs_scanned=scanned_total),
         final_edge_length=final,
     )
 

@@ -1,10 +1,11 @@
 import csv
+import re
 
 import pytest
 
 import promsa.bench
 from helpers import SETUP1, newick_leaf_sets, parse_newick
-from promsa import ScoringScheme, TieBreak, align_global, parse_fasta
+from promsa import ScoringScheme, TieBreak, align_global, generate_sequences, parse_fasta
 from promsa.bench import BENCH_CSV_HEADER
 from promsa.cli import build_parser, main
 
@@ -229,6 +230,17 @@ class TestGenCommand:
         main(["gen", "--class", "small", "--seed", "123", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_without_out_writes_fasta_to_stdout(self, tmp_path, capsys):
+        out = tmp_path / "s.fasta"
+        assert main(["gen", "--class", "small", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["gen", "--class", "small", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_generator_rejects_zero_min_len(self):
+        with pytest.raises(ValueError, match="min_len must be positive"):
+            generate_sequences(2, 0, 5, seed=0)
+
 
 class TestBenchCommand:
     def test_row_count_and_header(self, tmp_path, capsys):
@@ -292,6 +304,18 @@ class TestBenchCommand:
         with pytest.raises(ValueError, match="unknown dataset class 'tiny'"):
             promsa.bench.run_bench(["small", "tiny"], reps=1, seed=0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"reps": 0}, "reps must be at least 1"),
+            ({"reps": 1, "methods": ("upgma", "wpgma")}, "unknown method 'wpgma'"),
+        ],
+        ids=["no-reps", "unknown-method"],
+    )
+    def test_run_bench_rejects_with_its_message(self, no_bench_runs, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            promsa.bench.run_bench(["small"], seed=0, **kwargs)
+
     def test_large_class_with_input(self, tmp_path, capsys):
         fasta = write_setup1(tmp_path / "in.fasta")
         out = tmp_path / "b.csv"
@@ -317,6 +341,25 @@ class TestBenchCommand:
                 int(row["distance_ms"]) + int(row["tree_ms"]) + int(row["merge_ms"]) - 1
             )
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    ("env", "argv", "message"),
+    [
+        ("seven", ["gen", "--class", "small"], "MSA_SEED must be an integer, got 'seven'"),
+        (None, ["gen", "--count", "3", "--min-len", "5"],
+         "provide --class or all of --count/--min-len/--max-len"),
+    ],
+    ids=["non-integer-env-seed", "gen-without-sizes"],
+)
+def test_command_error_names_its_cause(tmp_path, capsys, monkeypatch, env, argv, message):
+    if env is None:
+        monkeypatch.delenv("MSA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MSA_SEED", env)
+    assert main([*argv, "--out", str(tmp_path / "x.fasta")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.fasta").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -606,3 +607,16 @@ class TestDistanceMatrixIdentity:
         assert dm.taxa == ("a", "b")
         assert upgma_build(dm).taxa == ("a", "b")
 
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: MatchStats(-1, 1, 0), "counts must be nonnegative"),
+        (lambda: MatchStats(0, 0, 0).mismatch_fraction, "no comparable columns"),
+        (lambda: DistanceMatrix(("a", "b"), np.zeros((3, 3))), "expected a 2x2 matrix, got (3, 3)"),
+    ],
+    ids=["negative-count", "no-columns", "shape-not-taxa"],
+)
+def test_rejects_with_its_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -121,7 +121,6 @@ class TestUpgma:
         for n in (2, 4, 8):
             m = random_ultrametric(rng, n)
             tree = upgma_build(m)
-            assert tree.stats.iterations == n - 1
             assert tree.stats.pairs_scanned == sum(
                 k * (k - 1) // 2 for k in range(2, n + 1)
             )
@@ -223,7 +222,6 @@ class TestNjBuild:
         for n in (2, 3, 5, 8):
             m = random_additive(rng, n)
             tree = nj_build(m)
-            assert tree.stats.iterations == n - 2
             assert tree.stats.pairs_scanned == sum(
                 k * (k - 1) // 2 for k in range(3, n + 1)
             )
@@ -496,7 +494,7 @@ def caterpillar_tree(n: int) -> GuideTree:
     for i in range(2, n):
         log.append(Merge(i, n + i - 2, n + i - 1, 2.0 * i, float(i), 1.0))
     scanned = sum(k * (k - 1) // 2 for k in range(2, n + 1))
-    return GuideTree("upgma", tuple(f"t{i}" for i in range(n)), tuple(log), BuildStats(n - 1, scanned))
+    return GuideTree("upgma", tuple(f"t{i}" for i in range(n)), tuple(log), BuildStats(scanned))
 
 
 class TestDeepTrees:
@@ -572,3 +570,8 @@ class TestNewickLabels:
         assert to_newick(tree) == (
             "((s1:1.000000,A_b.c-d:2.000000):2.500000,(x|y:3.000000,n/2:4.000000):2.500000);"
         )
+
+
+def test_nj_rejects_one_taxon():
+    with pytest.raises(ValueError, match="need at least two taxa"):
+        nj_build(DistanceMatrix(("a",), [[0.0]]))

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     scalar_fill,
 )
 from promsa import (
+    PairwiseAlignment,
     ScoringScheme,
     Sequence,
     align_global,
@@ -70,8 +72,8 @@ class TestBuildDpMatrix:
     def test_reference_grid(self):
         m = build_dp_matrix("ATGCG", "TGCAT", FIG2_SCHEME)
         assert m.cells == FIG2_CELLS
-        assert m.corner == 8
-        assert m.shape == (6, 6)
+        assert m.cells[-1][-1] == 8
+        assert (len(m.cells), len(m.cells[0])) == (6, 6)
 
     def test_single_match(self):
         m = build_dp_matrix("A", "A", SETUP_SCHEME)
@@ -80,7 +82,7 @@ class TestBuildDpMatrix:
     def test_two_mismatches_corner_zero(self):
         # brute-force enumeration of all global alignments of AC vs GT
         assert brute_force_score("AC", "GT", 3, 0, -1) == 0
-        assert build_dp_matrix("AC", "GT", SETUP_SCHEME).corner == 0
+        assert build_dp_matrix("AC", "GT", SETUP_SCHEME).cells[-1][-1] == 0
 
     def test_gapped_input_rejected(self):
         with pytest.raises(ValueError, match="gaps"):
@@ -164,7 +166,7 @@ class TestAlignGlobal:
         for _ in range(50):
             a, b = random_dna(rng, 1, 12), random_dna(rng, 1, 12)
             al = align_global(a, b, SETUP_SCHEME)
-            assert al.score == build_dp_matrix(a, b, SETUP_SCHEME).corner
+            assert al.score == build_dp_matrix(a, b, SETUP_SCHEME).cells[-1][-1]
 
     def test_no_column_gaps_both_rows(self):
         rng = random.Random(45)
@@ -309,3 +311,19 @@ class TestGridDtype:
         b = "A" * 40
         assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
         assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (
+            lambda: PairwiseAlignment(Sequence("a", "AC"), Sequence("b", "A"), 0),
+            "alignment rows differ in length",
+        ),
+        (lambda: align_global("A-C", "AC"), "input string contains gaps"),
+    ],
+    ids=["unequal-rows", "gapped-string"],
+)
+def test_rejects_with_its_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestTieBreak:
 class TestBuildProfile:
     def test_reference_frequencies(self):
         p = build_profile(profile_msa())
-        assert p.width == 5
+        assert len(p.counts) == 5
         assert p.depth == 4
         assert p.column_frequencies(0) == {"A": 0.75, "T": 0.25}
         assert p.column_frequencies(1) == {"G": 0.75, "T": 0.25}
@@ -110,7 +111,7 @@ class TestBuildProfile:
         for _ in range(20):
             msa = random_msa(rng)
             p = build_profile(msa)
-            for col in range(p.width):
+            for col in range(len(p.counts)):
                 total = 0.0
                 for f in p.column_frequencies(col).values():
                     k = round(f * p.depth)
@@ -149,7 +150,7 @@ class TestConsensus:
         for _ in range(10):
             msa = random_msa(rng)
             p = build_profile(msa)
-            assert len(consensus(p)) == p.width
+            assert len(consensus(p)) == len(p.counts)
 
     def test_lexicographic_tie(self):
         msa = Msa((Sequence("a", "G"), Sequence("b", "T")))
@@ -294,3 +295,16 @@ class TestMerge:
             (rows2, merged.rows[split:], "U"),
         ):
             assert all(new is old for new, old in zip(after, before)) == (gap not in moves)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: TieBreak().choose([]), "no candidates to choose from"),
+        (lambda: ProfileMatrix(np.ones((2, 4)), 4), "counts must be a width x 5 table"),
+    ],
+    ids=["no-candidates", "four-columns"],
+)
+def test_rejects_with_its_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -2,11 +2,32 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import first_all_gap_column, gapped_rows, msa_of_rows
+from helpers import char_loop_parse_fasta, first_all_gap_column, gapped_rows, msa_of_rows
 from promsa import FastaError, Msa, Sequence, parse_fasta, write_fasta
 from promsa.sequences import verify_msa_against_inputs
+
+_HEADER = st.tuples(
+    st.sampled_from(["s1", "s2", "s3", ""]), st.sampled_from(["", " desc", "\tcafé", "\x0bdesc"])
+).map(lambda parts: ">" + "".join(parts))
+_BODY = st.lists(
+    st.sampled_from(["acgt", "ACGT", "aC", "Gt", " ", "\t", "\x0b", "\xa0", "-", "_", "x", "é"]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def fasta_texts(draw):
+    """Records of a header and body lines, after a line that may hold data
+    before any header; each line ends in LF, CRLF, a lone CR or nothing,
+    which joins it to the next."""
+    lines = [draw(st.sampled_from(["", "\t", "acgt"]))]
+    records = st.lists(st.tuples(_HEADER, st.lists(_BODY, min_size=1, max_size=3)), max_size=4)
+    for header, body in draw(records):
+        lines += [header, *body]
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r", ""])) for line in lines)
 
 
 class TestSequence:
@@ -160,6 +181,19 @@ class TestParseFasta:
         with pytest.raises(FastaError, match="before first"):
             parse_fasta("ACGT\n>a\nACGT\n")
 
+    @settings(max_examples=300)
+    @given(text=fasta_texts(), allow_gaps=st.booleans(), encode=st.booleans())
+    @example(text=">a\nA\xa0_C\n", allow_gaps=False, encode=True)
+    @example(text=">a caf\xe9\r\nac\x0bG\r-\xa0x\r", allow_gaps=True, encode=False)
+    def test_agrees_with_the_character_loop(self, text, allow_gaps, encode):
+        def outcome(parse):
+            try:
+                return parse(text.encode() if encode else text, allow_gaps=allow_gaps)
+            except FastaError as err:
+                return str(err), err.line, err.offset
+
+        assert outcome(parse_fasta) == outcome(char_loop_parse_fasta)
+
 
 class TestWriteFasta:
     def test_simple(self):
@@ -216,3 +250,20 @@ class TestWriteFasta:
     def test_description_with_inner_whitespace_reads_back(self):
         seqs = [Sequence("a", "ACGT", "two  spaces\tand a tab"), Sequence("b", "GG", "x \u2003y")]
         assert parse_fasta(write_fasta(seqs)) == seqs
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: Msa(()), "alignment must have at least one row"),
+        (
+            lambda: verify_msa_against_inputs(Msa((Sequence("a", "AC"),)), [Sequence("b", "AC")]),
+            "alignment rows do not cover exactly the input ids",
+        ),
+        (lambda: parse_fasta(">\nACGT\n"), "header line has no identifier (line 1, byte offset 0)"),
+    ],
+    ids=["msa-without-rows", "other-ids", "header-without-id"],
+)
+def test_rejects_with_its_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
