@@ -136,11 +136,6 @@ class DistanceMatrix:
     def size(self) -> int:
         return len(self.taxa)
 
-    def between(self, taxon_a: str, taxon_b: str) -> float:
-        i = self.taxa.index(taxon_a)
-        j = self.taxa.index(taxon_b)
-        return float(self.values[i, j])
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

@@ -235,15 +235,3 @@ def tree_distances(tree: GuideTree) -> dict[frozenset, float]:
                 out[frozenset((name_a, name_b))] = depth_a + depth_b
         below[m.new] = left + right
     return out
-
-
-def leaf_depths(tree: GuideTree) -> dict[str, float]:
-    """Root-to-leaf path lengths (equal for an ultrametric tree), summed from
-    the root down by walking the merge log backwards."""
-    depth = {tree.merge_log[-1].new: 0.0}
-    for m in reversed(tree.merge_log):
-        above = depth.pop(m.new)
-        depth[m.left] = above + m.left_length
-        depth[m.right] = above + m.right_length
-    return {name: depth[i] for i, name in enumerate(tree.taxa)}
-

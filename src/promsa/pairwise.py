@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequences import GAP, Msa, Sequence
+from .sequences import GAP, Sequence
 
 # Traceback move codes, in alignment order: D consumes a residue from both
 # inputs, U consumes from the first only, L from the second only.
@@ -126,9 +126,6 @@ class PairwiseAlignment:
     def __post_init__(self):
         if len(self.row_a) != len(self.row_b):
             raise ValueError("alignment rows differ in length")
-
-    def to_msa(self) -> Msa:
-        return Msa((self.row_a, self.row_b))
 
 
 def check_dp_cells(m: int, n: int) -> None:
@@ -350,13 +347,12 @@ def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> lis
     equal lengths is cut into even chunks and none is left short. Unpadded
     one-shape chunks made mixed-length jobs 4x slower."""
     order = np.lexsort((len_b, len_a))
-    rows = np.asarray(len_a, dtype=np.int64)[order] + 1
-    cols = np.asarray(len_b, dtype=np.int64)[order] + 1
+    sides = np.maximum(len_a, len_b)[order] + 1
     chunks = []
     start = 0
     while start < len(order):
         left = len(order) - start
-        side = np.maximum(np.maximum.accumulate(rows[start:]), np.maximum.accumulate(cols[start:]))
+        side = np.maximum.accumulate(sides[start:])
         fit = max(1, int(np.count_nonzero(side * np.arange(1, left + 1) <= _LANE_CELLS)))
         size = -(-left // -(-left // fit))
         chunks.append(order[start : start + size])

@@ -81,7 +81,8 @@ def merge_along(
         left = groups.pop(step.left)
         right = groups.pop(step.right)
         if isinstance(left, Sequence) and isinstance(right, Sequence):
-            merged = align_global(left, right, scoring).to_msa()
+            pair = align_global(left, right, scoring)
+            merged = Msa((pair.row_a, pair.row_b))
         elif isinstance(left, Msa) and isinstance(right, Msa):
             merged = align_profile_to_profile(left, right, scoring, tie)
         else:  # a group stays first when it meets a lone row

@@ -112,9 +112,6 @@ class Msa:
     def column(self, index: int) -> str:
         return "".join(row.residues[index] for row in self.rows)
 
-    def row_ids(self) -> tuple[str, ...]:
-        return tuple(row.id for row in self.rows)
-
 
 def check_raw_inputs(seqs: list[Sequence] | tuple[Sequence, ...]) -> list[str]:
     """Check that raw pipeline input holds at least two gapless sequences
@@ -137,7 +134,7 @@ def verify_msa_against_inputs(msa: Msa, inputs: list[Sequence] | tuple[Sequence,
     inputs (compared by id, order-insensitively).
     """
     originals = {s.id: s.residues for s in inputs}
-    if sorted(originals) != sorted(msa.row_ids()):
+    if sorted(originals) != sorted(row.id for row in msa.rows):
         raise ValueError("alignment rows do not cover exactly the input ids")
     for row in msa.rows:
         degapped = row.residues.replace(GAP, "")

@@ -432,11 +432,11 @@ class TestDistanceMatrix:
 class TestPairwiseDistanceMatrix:
     def test_identical_sequences_zero_distance(self):
         m = pairwise_distance_matrix([Sequence("a", "ACGT"), Sequence("b", "ACGT")])
-        assert m.between("a", "b") == 0.0
+        assert m.values[0, 1] == 0.0
 
     def test_one_mismatch_in_four(self):
         m = pairwise_distance_matrix([Sequence("a", "AAAA"), Sequence("b", "AAAT")])
-        assert m.between("a", "b") == pytest.approx(0.304099, abs=1e-6)
+        assert m.values[0, 1] == pytest.approx(0.304099, abs=1e-6)
 
     def test_invariants_on_random_input(self):
         rng = random.Random(5)
@@ -494,8 +494,8 @@ class TestPairwiseDistanceMatrix:
         keys = {(picks[i], picks[j]) for i, j in combinations(range(len(picks)), 2)}
         assert len(calls) == len(keys) < len(picks) * (len(picks) - 1) // 2
         assert set(calls) == keys
-        assert m.between("s0", "s1") == pytest.approx(2.283392, abs=1e-6)
-        assert m.between("s1", "s2") == 0.0
+        assert m.values[0, 1] == pytest.approx(2.283392, abs=1e-6)
+        assert m.values[1, 2] == 0.0
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @given(
@@ -576,13 +576,13 @@ class TestDistanceMatrixOwnsValues:
         base = np.array([[0.0, 1.0], [1.0, 0.0]])
         dm = DistanceMatrix(("a", "b"), base[:, :])
         base[0, 1] = base[1, 0] = 5.0
-        assert dm.between("a", "b") == 1.0
+        assert dm.values[0, 1] == 1.0
         assert base.flags.writeable and not dm.values.flags.writeable
 
     def test_nested_lists_are_accepted(self):
         dm = DistanceMatrix(("a", "b", "c"), [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
         assert dm.values.dtype == np.float64
-        assert dm.between("b", "c") == 3.0
+        assert dm.values[1, 2] == 3.0
 
     def test_values_are_c_ordered_float64(self):
         values = np.asfortranarray(np.array([[0, 2, 1], [2, 0, 4], [1, 4, 0]], dtype=np.int32))

@@ -84,7 +84,7 @@ class TestSpScore:
         for _ in range(40):
             a, b = random_dna(rng, 1, 12), random_dna(rng, 1, 12)
             al = align_global(a, b, s)
-            assert sp_score(al.to_msa(), s) == build_dp_matrix(a, b, s).cells[-1][-1]
+            assert sp_score(Msa((al.row_a, al.row_b)), s) == build_dp_matrix(a, b, s).cells[-1][-1]
 
 
 @st.composite

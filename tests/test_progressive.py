@@ -124,7 +124,7 @@ class TestMergeAlong:
         )
         msa = merge_along(seqs, log, ScoringScheme(), TieBreak())
         verify_msa_against_inputs(msa, seqs)
-        assert msa.row_ids() == tuple(seq.id for seq in seqs)
+        assert tuple(row.id for row in msa.rows) == tuple(seq.id for seq in seqs)
 
 
 class TestProgressiveAlign:
@@ -159,7 +159,7 @@ class TestProgressiveAlign:
     def test_rows_ordered_by_input(self):
         seqs = setup1_sequences()
         report = progressive_align(seqs, _config("nj"))
-        assert report.msa.row_ids() == tuple(s.id for s in seqs)
+        assert tuple(row.id for row in report.msa.rows) == tuple(s.id for s in seqs)
 
     def test_invariants_on_random_inputs(self):
         rng = random.Random(82)
