@@ -6,7 +6,10 @@ symbol per column; ties are settled by a pluggable policy. Merging a
 sequence or a second alignment into a group goes through the group's
 consensus: the consensus is globally aligned (gap glyphs acting as an
 ordinary fifth letter), and every gap the aligner inserts into a consensus
-becomes a full gap column in the corresponding group.
+becomes a full gap column in the corresponding group. A merge works on
+code blocks: a group's consensus comes from one count of its codes, and
+each side's block is placed on the joint columns in one step, so no row
+is rebuilt.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .pairwise import DIAG, LEFT, UP, ScoringScheme, align_strings, expand_by_moves
-from .sequences import SYMBOLS, Msa, Sequence
+from .pairwise import LEFT, UP, ScoringScheme, align_strings
+from .sequences import GAP, SYMBOLS, Msa, Sequence
 
 SYMBOL_ORDER = SYMBOLS
 
@@ -102,26 +105,20 @@ class ProfileMatrix:
         }
 
 
-def build_profile(msa: Msa) -> ProfileMatrix:
-    """Count symbol occurrences per column; requires at least two rows."""
-    if msa.depth < 2:
-        raise ValueError("a profile needs at least two sequences")
+def _column_counts(codes: np.ndarray) -> np.ndarray:
+    """width x 5 counts of each SYMBOL_ORDER symbol per column of a code block."""
+    width = codes.shape[1]
     # Symbol k in column j counts into bin 5*j + k.
-    keys = _SYMBOL_INDEX[msa.codes]
-    keys += np.arange(0, len(SYMBOL_ORDER) * msa.width, len(SYMBOL_ORDER))
-    counts = np.bincount(keys.ravel(), minlength=len(SYMBOL_ORDER) * msa.width)
-    return ProfileMatrix(counts.reshape(msa.width, len(SYMBOL_ORDER)), msa.depth)
+    keys = _SYMBOL_INDEX.take(codes)
+    keys += np.arange(0, len(SYMBOL_ORDER) * width, len(SYMBOL_ORDER))
+    counts = np.bincount(keys.ravel(), minlength=len(SYMBOL_ORDER) * width)
+    return counts.reshape(width, len(SYMBOL_ORDER))
 
 
-def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
-    """Extract the per-column majority sequence from a profile.
-
-    At each position the unique most frequent symbol wins; on a tie the
-    tie-break policy draws from the leaders. Only tied columns are visited,
-    in column order, so a random policy draws in the same columns and order
-    as a walk over every column.
-    """
-    counts = profile.counts
+def _majority(counts: np.ndarray, tie: TieBreak) -> str:
+    """The most frequent symbol of each column of ``counts``; only tied
+    columns are visited, in column order, so a random policy draws in the
+    same columns and order as a walk over every column."""
     # argmax takes the first leader in SYMBOL_ORDER, which is the lex rule.
     out = _SYMBOL_CODES[counts.argmax(axis=1)]
     if tie.mode == TieBreak.RANDOM:
@@ -129,28 +126,43 @@ def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
         tied = np.flatnonzero(leads.sum(axis=1) > 1)
         for index, lead in zip(tied.tolist(), leads[tied].tolist()):
             out[index] = ord(tie.choose(compress(SYMBOL_ORDER, lead)))
-    return Sequence(CONSENSUS_ID, out.tobytes().decode("ascii"))
+    return out.tobytes().decode("ascii")
 
 
-def _merge(
-    rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
-    s: ScoringScheme,
-) -> Msa:
-    """Align ``c1`` and ``c2``, which stand for ``rows1`` and ``rows2`` (a
-    consensus, or a lone row itself), and put both row sets on the joint
-    columns: each gap put into ``c1`` or ``c2`` is a gap column in its rows.
-    A row set whose string gains no gap is already on the joint columns and
-    is kept as it is."""
+def build_profile(msa: Msa) -> ProfileMatrix:
+    """Count symbol occurrences per column; requires at least two rows."""
+    if msa.depth < 2:
+        raise ValueError("a profile needs at least two sequences")
+    return ProfileMatrix(_column_counts(msa.codes), msa.depth)
+
+
+def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
+    """Extract the per-column majority sequence from a profile.
+
+    At each position the unique most frequent symbol wins; on a tie the
+    tie-break policy draws from the leaders, column by column.
+    """
+    return Sequence(CONSENSUS_ID, _majority(profile.counts, tie))
+
+
+# Aligned rows as their ids, their descriptions and their uint8 code block.
+_Block = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
+
+
+def _merge(block1: _Block, c1: str, block2: _Block, c2: str, s: ScoringScheme) -> Msa:
+    """Align ``c1`` and ``c2``, which stand for ``block1`` and ``block2`` (a
+    consensus, or a lone row itself), and place both blocks on the joint
+    columns, the first above the second: each block fills the columns whose
+    moves consume its string, and each gap put into its string is a gap
+    column in it."""
     _, moves = align_strings(c1, c2, s)
-    merged: list[Sequence] = []
-    for rows, consume, gap in ((rows1, DIAG + UP, LEFT), (rows2, DIAG + LEFT, UP)):
-        if gap in moves:
-            rows = tuple(
-                Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
-                for row in rows
-            )
-        merged += rows
-    return Msa(tuple(merged))
+    steps = np.frombuffer(moves.encode("ascii"), dtype=np.uint8)
+    (ids1, descriptions1, codes1), (ids2, descriptions2, codes2) = block1, block2
+    depth1 = len(ids1)
+    codes = np.full((depth1 + len(ids2), len(moves)), ord(GAP), dtype=np.uint8)
+    codes[:depth1, steps != ord(LEFT)] = codes1
+    codes[depth1:, steps != ord(UP)] = codes2
+    return Msa._from_codes(ids1 + ids2, descriptions1 + descriptions2, codes)
 
 
 def align_sequence_to_profile(
@@ -167,8 +179,11 @@ def align_sequence_to_profile(
     """
     if not newcomer.is_gapless:
         raise ValueError(f"newcomer {newcomer.id!r} must be gapless")
-    cons = consensus(build_profile(group), tie=tie)
-    return _merge(group.rows, cons.residues, (newcomer,), newcomer.residues, s)
+    lone = np.frombuffer(newcomer.residues.encode("ascii"), dtype=np.uint8).reshape(1, -1)
+    return _merge(
+        (group.ids, group.descriptions, group.codes), _majority(_column_counts(group.codes), tie),
+        ((newcomer.id,), (newcomer.description,), lone), newcomer.residues, s,
+    )
 
 
 def align_profile_to_profile(
@@ -182,6 +197,8 @@ def align_profile_to_profile(
     Gaps inserted into either consensus become gap columns in that group;
     the second group's rows follow the first's.
     """
-    c1 = consensus(build_profile(g1), tie=tie)
-    c2 = consensus(build_profile(g2), tie=tie)
-    return _merge(g1.rows, c1.residues, g2.rows, c2.residues, s)
+    c1 = _majority(_column_counts(g1.codes), tie)
+    c2 = _majority(_column_counts(g2.codes), tie)
+    return _merge(
+        (g1.ids, g1.descriptions, g1.codes), c1, (g2.ids, g2.descriptions, g2.codes), c2, s
+    )

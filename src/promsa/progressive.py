@@ -5,7 +5,8 @@ The merge stage, ``merge_along``, folds over a join log such as the guide
 tree's own: a leaf-leaf join runs the pairwise aligner, a group-leaf join
 aligns the newcomer to the group's consensus, and a group-group join
 aligns the two consensus sequences, propagating inserted gaps into the
-owning groups; a group that gains no gap keeps its rows. A leaf-leaf join
+owning groups. Groups travel as code blocks, and the final alignment is
+one gather of the last block's rows into input order. A leaf-leaf join
 aligns the same ordered residue pair as the distance stage, so where that
 stage aligned the pair on its own, not as a lane, the aligner's memo
 returns the moves without a second fill. Each run starts with an empty
@@ -75,11 +76,20 @@ def merge_along(
     tie: TieBreak,
 ) -> Msa:
     """Merge gapless ``seqs`` in the order of ``merge_log``, whose leaves
-    index ``seqs``, and return the alignment with its rows in input order."""
+    index ``seqs``, and return the alignment with its rows in input order.
+
+    Raises ValueError if the log joins a cluster that is not pending, or
+    does not join every sequence into one tree.
+    """
     groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
     for step in merge_log:
-        left = groups.pop(step.left)
-        right = groups.pop(step.right)
+        try:
+            left = groups.pop(step.left)
+            right = groups.pop(step.right)
+        except KeyError as err:
+            raise ValueError(
+                f"merge log joins cluster {err.args[0]}, which is not pending"
+            ) from None
         if isinstance(left, Sequence) and isinstance(right, Sequence):
             pair = align_global(left, right, scoring)
             merged = Msa((pair.row_a, pair.row_b))
@@ -89,9 +99,15 @@ def merge_along(
             group, lone = (left, right) if isinstance(left, Msa) else (right, left)
             merged = align_sequence_to_profile(group, lone, scoring, tie)
         groups[step.new] = merged
-    (alignment,) = groups.values()
-    by_id = {row.id: row for row in alignment.rows}
-    return Msa(tuple(by_id[seq.id] for seq in seqs))
+    alignment = groups.popitem()[1] if len(groups) == 1 else None
+    if not isinstance(alignment, Msa) or alignment.depth != len(seqs):
+        raise ValueError(f"merge log does not join the {len(seqs)} sequences into one tree")
+    position = {row_id: k for k, row_id in enumerate(alignment.ids)}
+    return Msa._from_codes(
+        tuple(seq.id for seq in seqs),
+        tuple(seq.description for seq in seqs),
+        alignment.codes[[position[seq.id] for seq in seqs]],
+    )
 
 
 def _stage(name: str, fn: Callable, *args):

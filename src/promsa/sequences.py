@@ -2,8 +2,9 @@
 
 Residues are plain strings over the alphabet A, C, G, T with ``_`` as the
 internal gap glyph. FASTA output renders gaps as ``-``; both glyphs are
-accepted on input. All types are immutable values and safe to share across
-threads.
+accepted on input. An alignment holds its rows as one uint8 code block and
+builds them as ``Sequence`` values only when they are read. All types are
+immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ ALPHABET = "ACGT"
 SYMBOLS = ALPHABET + GAP
 
 FASTA_LINE_WIDTH = 60
+
+# True at the ASCII code of each of SYMBOLS.
+_IS_SYMBOL = np.zeros(256, dtype=bool)
+_IS_SYMBOL[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = True
 
 _LINE_END = r"\r\n?|\n"  # str.splitlines also breaks at \f, \v, \x85, \u2028 and more
 _LINE = re.compile(rf"[^\r\n]*(?:{_LINE_END})|[^\r\n]+")
@@ -69,48 +74,113 @@ class Sequence:
         return GAP not in self.residues
 
 
-@dataclass(frozen=True)
 class Msa:
-    """A rectangular block of gapped sequences.
+    """A rectangular block of gapped sequences, held as codes.
 
-    Invariants enforced on construction: at least one row, all rows the
-    same length, and no column made up entirely of gaps. ``codes`` holds
-    the rows as a depth x width array, encoded once on construction.
+    ``codes`` is a read-only uint8 depth x width array of the rows' ASCII
+    codes, and ``ids`` and ``descriptions`` name its rows. Invariants
+    enforced on construction: at least one row, ids and descriptions for
+    every row of codes, only SYMBOLS in the codes, and no column made up
+    entirely of gaps. ``rows`` builds the rows as Sequences when first read
+    and keeps them. Alignments compare and hash by ids, descriptions and
+    codes, and are immutable.
     """
 
-    rows: tuple[Sequence, ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("alignment must have at least one row")
-        width = len(self.rows[0])
-        for row in self.rows:
+    def __init__(self, rows: tuple[Sequence, ...]):
+        rows = tuple(rows)
+        width = len(rows[0]) if rows else 0
+        for row in rows:
             if len(row) != width:
                 raise ValueError(
                     f"ragged alignment: row {row.id!r} has length {len(row)}, "
                     f"expected {width}"
                 )
-        all_gap = (self.codes == ord(GAP)).all(axis=0)
+        # Sequence admits only ACGT and the gap glyph, so ASCII encodes every row.
+        data = "".join(row.residues for row in rows).encode("ascii")
+        codes = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+        ids = tuple(row.id for row in rows)
+        self._set_block(ids, tuple(row.description for row in rows), codes)
+        self.__dict__["rows"] = rows
+
+    @classmethod
+    def _from_codes(
+        cls, ids: tuple[str, ...], descriptions: tuple[str, ...], codes: np.ndarray
+    ) -> Msa:
+        """An alignment over a uint8 code block, which it takes over and makes read-only."""
+        codes.flags.writeable = False
+        msa = cls.__new__(cls)
+        msa._set_block(ids, descriptions, codes)
+        return msa
+
+    def _set_block(
+        self, ids: tuple[str, ...], descriptions: tuple[str, ...], codes: np.ndarray
+    ) -> None:
+        self.__dict__.update(ids=ids, descriptions=descriptions, codes=codes)
+        self.__post_init__()
+
+    def __post_init__(self):
+        ids, codes = self.ids, self.codes
+        if not ids:
+            raise ValueError("alignment must have at least one row")
+        if codes.ndim != 2 or codes.shape[0] != len(ids) or len(self.descriptions) != len(ids):
+            raise ValueError(
+                f"alignment shape mismatch: {len(ids)} ids and {len(self.descriptions)} "
+                f"descriptions for codes of shape {codes.shape}"
+            )
+        if not codes.shape[1]:
+            raise ValueError(f"sequence {ids[0]!r} has no residues")
+        symbols = _IS_SYMBOL.take(codes)
+        if not symbols.all():
+            row = int(symbols.all(axis=1).argmin())
+            bad = set(codes[row].tobytes().decode("latin-1")) - set(SYMBOLS)
+            raise ValueError(f"sequence {ids[row]!r} contains invalid symbols: {sorted(bad)}")
+        # The gap glyph has the largest code of SYMBOLS.
+        all_gap = codes.min(axis=0) == ord(GAP)
         if all_gap.any():
             raise ValueError(f"column {int(all_gap.argmax())} consists entirely of gaps")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     @cached_property
-    def codes(self) -> np.ndarray:
-        """The rows as a read-only uint8 depth x width array of ASCII codes."""
-        # Sequence admits only ACGT and the gap glyph, so ASCII encodes every row.
-        data = "".join(row.residues for row in self.rows).encode("ascii")
-        return np.frombuffer(data, dtype=np.uint8).reshape(self.depth, self.width)
+    def rows(self) -> tuple[Sequence, ...]:
+        text = self.codes.tobytes().decode("ascii")
+        width = self.width
+        return tuple(
+            Sequence(row_id, text[start:start + width], description)
+            for row_id, description, start in zip(
+                self.ids, self.descriptions, range(0, len(text), width)
+            )
+        )
 
     @property
     def width(self) -> int:
-        return len(self.rows[0])
+        return self.codes.shape[1]
 
     @property
     def depth(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[0]
 
     def column(self, index: int) -> str:
-        return "".join(row.residues[index] for row in self.rows)
+        return self.codes[:, index].tobytes().decode("ascii")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.descriptions == other.descriptions
+            and np.array_equal(self.codes, other.codes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.descriptions, self.codes.shape, self.codes.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Msa(rows={self.rows!r})"
 
 
 def check_raw_inputs(seqs: list[Sequence] | tuple[Sequence, ...]) -> list[str]:

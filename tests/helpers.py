@@ -3,13 +3,16 @@ alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
 align-every-pair distance loop, the whole-grid and rolling-row lock-step
 lane counts, the column-loop profile, consensus and pair tally, the
-merge that rebuilds every row, the all-gap column scan, row-pair
+merge that rebuilds every row and the merge stage over rows built on it,
+the all-gap column scan, row-pair
 sum-of-pairs loops, the pair-by-pair guide-tree join scan, the guide-tree
 builders over a (2n-1)-square working table, recursive guide-tree walks,
-a minimal Newick reader, and random tree/matrix generators. Everything
-here is independent of the code paths under test, except that the
-working-table builders choose each join with the shared ``_closest_pair``
-and the rebuilding merge aligns with the shared ``align_strings``."""
+a minimal Newick reader, and random tree/matrix/merge-log generators.
+Everything here is independent of the code paths under test, except that
+the working-table builders choose each join with the shared
+``_closest_pair``, the rebuilding merge aligns with the shared
+``align_strings``, and the merge stage over rows joins two leaves with
+the shared ``align_global``."""
 
 from __future__ import annotations
 
@@ -210,14 +213,54 @@ def rebuild_merge(
     rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
     s: ScoringScheme,
 ) -> Msa:
-    """``profiles._merge`` that rebuilds every row of both sides, whether
-    or not the alignment of ``c1`` and ``c2`` puts a gap into it."""
+    """``profiles._merge`` over rows: align ``c1`` and ``c2`` and rebuild
+    every row of both sides as a gapped Sequence, then the whole group as
+    a new Msa."""
     _, moves = align_strings(c1, c2, s)
     return Msa(tuple(
         Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
         for rows, consume in ((rows1, DIAG + UP), (rows2, DIAG + LEFT))
         for row in rows
     ))
+
+
+def row_merge_along(
+    seqs: list[Sequence] | tuple[Sequence, ...], merge_log, s: ScoringScheme, tie: TieBreak
+) -> Msa:
+    """``progressive.merge_along`` over rows: a leaf-leaf join aligns with
+    ``align_global``, a group's consensus is the column loop's, every other
+    join rebuilds its rows with ``rebuild_merge``, and the final rows are
+    picked by id."""
+    groups = dict(enumerate(seqs))
+    for step in merge_log:
+        left, right = groups.pop(step.left), groups.pop(step.right)
+        if isinstance(left, Sequence) and isinstance(right, Sequence):
+            pair = align_global(left, right, s)
+            merged = Msa((pair.row_a, pair.row_b))
+        else:
+            if isinstance(left, Sequence):  # a group stays first when it meets a lone row
+                left, right = right, left
+            operands = [
+                (side.rows, loop_consensus(string_profile_counts(side), tie))
+                if isinstance(side, Msa) else ((side,), side.residues)
+                for side in (left, right)
+            ]
+            merged = rebuild_merge(*operands[0], *operands[1], s)
+        groups[step.new] = merged
+    (alignment,) = groups.values()
+    by_id = {row.id: row for row in alignment.rows}
+    return Msa(tuple(by_id[seq.id] for seq in seqs))
+
+
+def random_merge_log(rng, n: int) -> tuple[Merge, ...]:
+    """A log joining two random pending clusters of ``n`` leaves at a time."""
+    pending = list(range(n))
+    log = []
+    for new in range(n, 2 * n - 1):
+        left, right = (pending.pop(rng.randrange(len(pending))) for _ in range(2))
+        log.append(Merge(left, right, new, 0.0, 0.0, 0.0))
+        pending.append(new)
+    return tuple(log)
 
 
 def first_all_gap_column(rows) -> int | None:

@@ -1,10 +1,13 @@
 import hashlib
 import random
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_dna, setup1_sequences
+from helpers import random_dna, random_merge_log, row_merge_along, setup1_sequences
 from promsa import (
     Merge,
     Msa,
@@ -125,6 +128,48 @@ class TestMergeAlong:
         msa = merge_along(seqs, log, ScoringScheme(), TieBreak())
         verify_msa_against_inputs(msa, seqs)
         assert tuple(row.id for row in msa.rows) == tuple(seq.id for seq in seqs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text("ACGT", min_size=1, max_size=16), min_size=2, max_size=9),
+        st.randoms(use_true_random=False),
+        st.sampled_from([TieBreak.LEX, TieBreak.RANDOM]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (2, 1, -1)]),
+    )
+    def test_equals_row_oracle(self, residues, rng, mode, seed, scores):
+        seqs = [Sequence(f"s{i}", r, f"d{i}" if i % 2 else "") for i, r in enumerate(residues)]
+        log = random_merge_log(rng, len(seqs))
+        s = ScoringScheme(*scores)
+        msa = merge_along(seqs, log, s, TieBreak(mode, seed))
+        oracle = row_merge_along(seqs, log, s, TieBreak(mode, seed))
+        assert msa == oracle and hash(msa) == hash(oracle)
+        assert msa.rows == oracle.rows
+
+    def test_merged_alignment_equals_the_one_built_from_its_rows(self):
+        seqs = [Sequence(f"t{i + 1}", residues) for i, residues in enumerate(TIE_HEAVY)]
+        msa = progressive_align(seqs, _config("nj")).msa
+        rebuilt = Msa(msa.rows)
+        assert msa == rebuilt and hash(msa) == hash(rebuilt)
+        assert msa.codes.tobytes() == rebuilt.codes.tobytes()
+
+    @pytest.mark.parametrize(
+        ("joins", "message"),
+        [
+            (((0, 1, 3),), "merge log does not join the 3 sequences into one tree"),
+            (((0, 1, 3), (3, 7, 4)), "merge log joins cluster 7, which is not pending"),
+            (((0, 0, 3),), "merge log joins cluster 0, which is not pending"),
+            (((0, 1, 2), (2, 3, 4)), "merge log joins cluster 3, which is not pending"),
+            (((0, 1, 2),), "merge log does not join the 3 sequences into one tree"),
+        ],
+        ids=["unjoined-cluster", "unknown-cluster", "cluster-joined-twice",
+             "new-cluster-overwrites-leaf", "leaf-overwritten-and-dropped"],
+    )
+    def test_malformed_logs_rejected(self, joins, message):
+        seqs = [Sequence(f"s{i}", r) for i, r in enumerate(("ACGT", "AGT", "CCGTA"))]
+        log = tuple(Merge(left, right, new, 0.0, 0.0, 0.0) for left, right, new in joins)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            merge_along(seqs, log, ScoringScheme(), TieBreak())
 
 
 class TestProgressiveAlign:

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,45 @@ class TestMsa:
         else:
             with pytest.raises(ValueError, match=rf"^column {expected} consists entirely of gaps$"):
                 msa_of_rows(rows)
+
+    def test_rows_are_built_once_when_read(self, monkeypatch):
+        built = []
+        check = Sequence.__post_init__
+        monkeypatch.setattr(Sequence, "__post_init__", lambda row: built.append(row) or check(row))
+        codes = np.frombuffer(b"AC_TACGT", dtype=np.uint8).reshape(2, 4).copy()
+        msa = Msa._from_codes(("a", "b"), ("first", ""), codes)
+        assert not built and not codes.flags.writeable
+        rows = msa.rows
+        assert len(built) == 2 and msa.rows is rows and len(built) == 2
+        assert rows == (Sequence("a", "AC_T", "first"), Sequence("b", "ACGT"))
+        assert msa == Msa(rows) and hash(msa) == hash(Msa(rows))
+
+    def test_equality_covers_ids_descriptions_and_codes(self):
+        msa = Msa((Sequence("a", "AC_T"), Sequence("b", "ACGT")))
+        assert msa != Msa((Sequence("a", "AC_T"), Sequence("c", "ACGT")))
+        assert msa != Msa((Sequence("a", "AC_T"), Sequence("b", "ACGT", "x")))
+        assert msa != Msa((Sequence("a", "ACT_"), Sequence("b", "ACGT")))
+        assert msa != Msa((Sequence("a", "ACGT"),)) and msa != "AC_T"
+        assert msa.column(-1) == "TT" and repr(msa).startswith("Msa(rows=(Sequence(id='a'")
+        with pytest.raises(AttributeError):
+            msa.codes = msa.codes
+
+    @pytest.mark.parametrize(
+        ("ids", "rows", "message"),
+        [
+            (("a", "b"), (b"A_C", b"A_G"), "column 1 consists entirely of gaps"),
+            (("a", "b", "c"), (b"ACG", b"AC_"), "alignment shape mismatch: 3 ids and 3 "
+             "descriptions for codes of shape (2, 3)"),
+            (("a", "b"), (b"ACG", b"AXN"), "sequence 'b' contains invalid symbols: ['N', 'X']"),
+            (("a", "b"), (b"", b""), "sequence 'a' has no residues"),
+            ((), (), "alignment must have at least one row"),
+        ],
+        ids=["all-gap-column", "shape-mismatch", "bad-symbol", "no-residues", "no-rows"],
+    )
+    def test_codes_constructor_rejects_with_its_message(self, ids, rows, message):
+        codes = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1 if rows else 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Msa._from_codes(ids, ("",) * len(ids), codes.copy())
 
     def test_roundtrip_check(self):
         msa = Msa((Sequence("a", "AC_T"), Sequence("b", "ACGT")))

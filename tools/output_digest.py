@@ -18,8 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def output_digest() -> tuple[int, str]:
+    """(runs, SHA-256 hex digest) over the set; ``promsa`` and perfbench's
+    ``workloads`` must be importable."""
     from promsa import PipelineConfig, TieBreak, progressive_align, to_newick
     from workloads import METHODS, WORKLOADS
 
@@ -38,7 +39,12 @@ def main() -> int:
                         f"{report.total_cost!r}\n".encode()
                     )
                     runs += 1
-    print(runs, sha.hexdigest())
+    return runs, sha.hexdigest()
+
+
+def main() -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    print(*output_digest())
     return 0
 
 
