@@ -6,9 +6,9 @@ downstream progressive merging replays. The merge log is the tree:
 serialization and path lengths loop over it, so depth sets no recursion
 limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
 and each new cluster receives the next free index. Each join is the first
-minimum, in row-major order, of the upper triangle of the live table, so
-ties go to the smallest (i, j) index pair and both builders are
-deterministic.
+minimum, in row-major order, of the upper triangle of the live table, which
+one argmin finds, so ties go to the smallest (i, j) index pair and both
+builders are deterministic.
 """
 
 from __future__ import annotations
@@ -52,36 +52,39 @@ class GuideTree:
 
 
 def _closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
-    """Table positions (row, col) and value of the first minimum, in
-    row-major order, of the strict upper triangle of the k x k ``scores``.
-    The builders keep the live ids ascending, since removals keep their
-    order and each new id is the largest so far, so among tied minima this
-    is the smallest (i, j) id pair. A non-finite minimum is an error."""
-    k = len(scores)
-    # The diagonal and lower triangle read +inf, so they never win a finite
-    # minimum; np.where copies the rest bit for bit, -0.0 included.
-    masked = np.where(np.tri(k, dtype=bool), np.inf, scores)
-    row, col = divmod(int(np.argmin(masked)), k)
-    value = float(masked[row, col])
+    """Table positions (row, col) and value of the first row-major minimum
+    of the k x k ``scores``, whose diagonal and lower triangle read +inf,
+    or which is symmetric under == (so +0.0 and -0.0 tie) with +inf on its
+    diagonal: a minimum below the diagonal then comes after its mirror. So
+    (row, col) lies above it, and a -0.0 keeps its sign. Live ids ascend
+    (removals keep order, each new id is the largest), so among tied minima
+    this is the smallest (i, j) id pair. A non-finite minimum is an error."""
+    row, col = divmod(int(np.argmin(scores)), len(scores))
+    value = float(scores[row, col])
     if not math.isfinite(value):
         raise ValueError("distance table contains non-finite values")
     return row, col, value
 
 
-def _join(table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update) -> np.ndarray:
-    """Join the live clusters at table positions pi and pj into ``new``:
-    the live table without their rows and columns, plus a last row and
-    column holding ``update(row pi, row pj)`` over the clusters kept.
-    ``live`` drops both and gains ``new``, the largest id so far, so it
-    stays ascending. The table is a fresh C-ordered array, since a sum
-    over its rows rounds by memory layout; one take() gather was no faster."""
+def _join(
+    table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update, diagonal: float
+) -> np.ndarray:
+    """Join the live clusters at table positions pi < pj into ``new``: the
+    live table without their rows and columns, plus a last row and column
+    holding ``update(row pi, row pj)`` over the clusters kept and
+    ``diagonal`` where they meet. ``live`` drops both and gains ``new``, the
+    largest id so far, so it stays ascending. The table is a fresh C-ordered
+    array, as row sums round by memory layout; at k <= 100 two take() calls
+    were no faster than its two boolean gathers, and np.ix_ was slower."""
     keep = np.ones(len(live), dtype=bool)
-    keep[[pi, pj]] = False
+    keep[pi] = keep[pj] = False
     k = len(live) - 1
-    out = np.zeros((k, k))
+    out = np.empty((k, k))
     out[:-1, :-1] = table[keep][:, keep]
     out[-1, :-1] = out[:-1, -1] = update(table[pi, keep], table[pj, keep])
-    live[:] = [c for c, kept in zip(live, keep) if kept] + [new]
+    out[-1, -1] = diagonal
+    del live[pj], live[pi]
+    live.append(new)
     return out
 
 
@@ -97,6 +100,7 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     if n < 2:
         raise ValueError("need at least two taxa")
     table, live = m.values.copy(), list(range(n))
+    table.ravel()[:: n + 1] = np.inf  # for _closest_pair
     sizes = [1] * n
     heights = [0.0] * n
     log: list[Merge] = []
@@ -106,7 +110,9 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
         i, j = live[pi], live[pj]
         h = dmin / 2.0
         si, sj = sizes[i], sizes[j]
-        table = _join(table, live, pi, pj, new, lambda di, dj: (si * di + sj * dj) / (si + sj))
+        table = _join(
+            table, live, pi, pj, new, lambda di, dj: (si * di + sj * dj) / (si + sj), np.inf
+        )
         sizes.append(si + sj)
         heights.append(h)
         log.append(Merge(i, j, new, dmin, h - heights[i], h - heights[j]))
@@ -161,21 +167,24 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     if n < 2:
         raise ValueError("need at least two taxa")
     table, live = m.values.copy(), list(range(n))
+    lower = np.tri(n, dtype=bool)
     log: list[Merge] = []
 
     for new in range(n, 2 * n - 2):
         rates = _rates(table)
+        k = len(table)
         # Zero the masked diagonal, so -2 * u_i cannot overflow there. A
         # fresh array ravels to a view, and this beat np.fill_diagonal.
         scores = table - rates[:, None]
-        scores.ravel()[:: len(scores) + 1] = 0.0
+        scores.ravel()[:: k + 1] = 0.0
         scores -= rates
+        np.copyto(scores, np.inf, where=lower[:k, :k])
         pi, pj, crit = _closest_pair(scores)
         i, j = live[pi], live[pj]
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)
-        table = _join(table, live, pi, pj, new, lambda di, dj: (di + dj - dij) / 2.0)
+        table = _join(table, live, pi, pj, new, lambda di, dj: (di + dj - dij) / 2.0, 0.0)
         log.append(Merge(i, j, new, crit, left_len, right_len))
 
     p, q = live

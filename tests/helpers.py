@@ -5,14 +5,13 @@ align-every-pair distance loop, the whole-grid and rolling-row lock-step
 lane counts, the column-loop profile, consensus and pair tally, the
 merge that rebuilds every row and the merge stage over rows built on it,
 the all-gap column scan, row-pair
-sum-of-pairs loops, the pair-by-pair guide-tree join scan, the guide-tree
-builders over a (2n-1)-square working table, recursive guide-tree walks,
-a minimal Newick reader, and random tree/matrix/merge-log generators.
-Everything here is independent of the code paths under test, except that
-the working-table builders choose each join with the shared
-``_closest_pair``, the rebuilding merge aligns with the shared
-``align_strings``, and the merge stage over rows joins two leaves with
-the shared ``align_global``."""
+sum-of-pairs loops, the pair-by-pair guide-tree join scan, the masked
+closest-pair selection, the guide-tree builders over a (2n-1)-square
+working table, recursive guide-tree walks, a minimal Newick reader, and
+random tree/matrix/merge-log generators. Everything here is independent
+of the code paths under test, except that the rebuilding merge aligns
+with the shared ``align_strings``, and the merge stage over rows joins
+two leaves with the shared ``align_global``."""
 
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from promsa import (
     column_stats,
     jukes_cantor,
 )
-from promsa.guide_tree import BuildStats, GuideTree, Merge, _closest_pair
+from promsa.guide_tree import BuildStats, GuideTree, Merge
 from promsa.pairwise import DIAG, LEFT, UP, expand_by_moves
 from promsa.profiles import SYMBOL_ORDER
 from promsa.sequences import _LINE, _LINE_END, ALPHABET
@@ -466,6 +465,20 @@ def scan_argmin_pair(live: list[int], key) -> tuple[int, int, float]:
     return best_i, best_j, best
 
 
+def masked_closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
+    """Table positions (row, col) and value of the first minimum, in
+    row-major order, of the strict upper triangle of any k x k ``scores``:
+    a copy with the diagonal and lower triangle at +inf, and np.where keeps
+    the rest bit for bit, -0.0 included. A non-finite minimum is an error."""
+    k = len(scores)
+    masked = np.where(np.tri(k, dtype=bool), np.inf, scores)
+    row, col = divmod(int(np.argmin(masked)), k)
+    value = float(masked[row, col])
+    if not math.isfinite(value):
+        raise ValueError("distance table contains non-finite values")
+    return row, col, value
+
+
 def _working_table(m: DistanceMatrix, total: int) -> np.ndarray:
     table = np.zeros((total, total))
     table[: m.size, : m.size] = m.values
@@ -488,7 +501,7 @@ def working_table_upgma_build(m: DistanceMatrix) -> GuideTree:
 
     for new in range(n, total):
         scanned_total += len(live) * (len(live) - 1) // 2
-        row, col, dmin = _closest_pair(table[np.ix_(live, live)])
+        row, col, dmin = masked_closest_pair(table[np.ix_(live, live)])
         if not math.isfinite(dmin):
             raise ValueError("distance table contains non-finite values")
         i, j = live[row], live[col]
@@ -529,7 +542,7 @@ def working_table_nj_build(m: DistanceMatrix) -> GuideTree:
         sub = table[np.ix_(live, live)]
         rates = sub.sum(axis=1) / (len(live) - 2)
         scanned_total += len(live) * (len(live) - 1) // 2
-        row, col, crit = _closest_pair(sub - rates[:, None] - rates[None, :])
+        row, col, crit = masked_closest_pair(sub - rates[:, None] - rates[None, :])
         if not math.isfinite(crit):
             raise ValueError("distance table contains non-finite values")
         i, j = live[row], live[col]

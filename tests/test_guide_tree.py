@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    masked_closest_pair,
     newick_leaf_sets,
     parse_newick,
     random_additive,
@@ -303,12 +304,51 @@ def closest_ids(scores: np.ndarray, live: list[int]) -> tuple[int, int, float]:
     return live[row], live[col], value
 
 
+def inf_diagonal(table: np.ndarray) -> np.ndarray:
+    """A copy of ``table`` with +inf on its diagonal, as ``upgma_build`` keeps it."""
+    out = table.copy()
+    np.fill_diagonal(out, np.inf)
+    return out
+
+
+def upper_only(scores: np.ndarray) -> np.ndarray:
+    """A copy of ``scores`` with +inf on the diagonal and the lower triangle,
+    as ``nj_build`` masks its criterion."""
+    out = scores.copy()
+    np.copyto(out, np.inf, where=np.tri(len(out), dtype=bool))
+    return out
+
+
+@st.composite
+def signed_inf_diagonal_tables(draw):
+    """A 2-12 square table with +inf on its diagonal, symmetric under ==:
+    entries from a few values (ties everywhere, +inf sometimes, so all
+    may be +inf), with each zero's sign drawn apart in each triangle."""
+    k = draw(st.integers(2, 12))
+    value = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.inf])
+    table = np.full((k, k), np.inf)
+    for i in range(k):
+        for j in range(i + 1, k):
+            table[i, j] = draw(value)
+            flip = table[i, j] == 0 and draw(st.booleans())
+            table[j, i] = -table[i, j] if flip else table[i, j]
+    return table
+
+
+def outcome(closest, scores: np.ndarray) -> str:
+    """repr of ``closest(scores)``, which shows a zero's sign, or its error."""
+    try:
+        return repr(closest(scores))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
 class TestClosestPair:
     @given(live_tables())
     def test_matches_scan_on_plain_table(self, case):
         table, live, _ = case
         expected = scan_argmin_pair(live, lambda i, j: table[i, j])
-        assert closest_ids(table[np.ix_(live, live)], live) == expected
+        assert closest_ids(inf_diagonal(table[np.ix_(live, live)]), live) == expected
 
     @given(live_tables())
     def test_matches_scan_on_nj_criterion(self, case):
@@ -316,19 +356,29 @@ class TestClosestPair:
         expected = scan_argmin_pair(live, lambda i, j: table[i, j] - u[i] - u[j])
         sub_u = u[live]
         scores = table[np.ix_(live, live)] - sub_u[:, None] - sub_u[None, :]
-        assert closest_ids(scores, live) == expected
+        assert closest_ids(upper_only(scores), live) == expected
 
     def test_keeps_the_sign_of_a_negative_zero(self):
-        scores = np.array([[0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+        # The mirror of each -0.0 reads +0.0: the value is read above the
+        # diagonal, whichever triangle holds the -0.0.
+        inf = np.inf
+        scores = np.array([[inf, 1.0, -0.0], [1.0, inf, 0.0], [0.0, 0.0, inf]])
         row, col, value = _closest_pair(scores)
         assert (row, col) == (0, 2)
         assert math.copysign(1.0, value) == -1.0
+        row, col, value = _closest_pair(scores.T)
+        assert (row, col) == (0, 2)
+        assert math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_a_non_finite_minimum(self, bad):
-        scores = np.full((3, 3), bad)
+        scores = upper_only(np.full((3, 3), bad))
         with pytest.raises(ValueError, match="distance table contains non-finite values"):
             _closest_pair(scores)
+
+    @given(signed_inf_diagonal_tables())
+    def test_equals_the_masked_selection_on_inf_diagonal_tables(self, table):
+        assert outcome(_closest_pair, table) == outcome(masked_closest_pair, table)
 
 
 def scan_closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
@@ -528,12 +578,27 @@ def uniform_matrices(draw):
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), upper + upper.T)
 
 
+@st.composite
+def signed_zero_matrices(draw):
+    """A tied matrix whose zeros read -0.0 in one triangle, and on the
+    diagonal or not. DistanceMatrix takes it: -0.0 < 0 is false, and
+    array_equal holds +0.0 and -0.0 equal."""
+    m = draw(tied_matrices())
+    side = np.triu(np.ones((m.size, m.size), dtype=bool), 1)
+    if draw(st.booleans()):
+        side = side.T
+    if draw(st.booleans()):
+        side |= np.eye(m.size, dtype=bool)
+    values = np.where(side & (m.values == 0), -0.0, m.values)
+    return DistanceMatrix(m.taxa, values)
+
+
 class TestLiveTable:
     @pytest.mark.parametrize(
         ("build", "oracle"),
         [(upgma_build, working_table_upgma_build), (nj_build, working_table_nj_build)],
     )
-    @given(m=tied_matrices() | uniform_matrices())
+    @given(m=tied_matrices() | uniform_matrices() | signed_zero_matrices())
     def test_build_equals_working_table_build(self, build, oracle, m):
         # repr shows every float exactly, the sign of a zero included.
         assert repr(build(m)) == repr(oracle(m))
