@@ -9,17 +9,12 @@ are constant per dataset and only the timings vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .datasets import CLASSES, generate_sequences
 from .pairwise import ScoringScheme
 from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
 from .sequences import Sequence
-
-BENCH_CSV_HEADER = (
-    "method,n_sequences,mean_length,distance_ms,tree_ms,merge_ms,"
-    "total_ms,total_cost,sp_score,seed"
-)
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,9 @@ class BenchRecord:
             f"{self.distance_ms},{self.tree_ms},{self.merge_ms},{self.total_ms},"
             f"{self.total_cost:.6f},{self.sp_score},{self.seed}"
         )
+
+
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def run_bench(

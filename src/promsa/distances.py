@@ -4,7 +4,8 @@ Distances are computed from Needleman-Wunsch alignments of each distinct
 ordered pair of residue strings, whose sites are counted for many pairs at
 once by ``pairwise.batch_site_counts``: it fills the pairs its thresholds
 admit as lanes of anti-diagonals, each cell carrying the site counts of its
-traceback path, and counts the rest from each pair's move string. Gap
+traceback path, and counts the rest from each pair's move string. No grid
+is filled when any pair's grid would be over ``MAX_DP_CELLS``. Gap
 columns are excluded from the counts, and each distinct substitution
 fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
 the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps
@@ -158,9 +159,10 @@ def pairwise_distance_matrix(
     counted together by ``batch_site_counts``, whose docstring gives the
     thresholds for filling them by anti-diagonals across lanes.
 
-    Errors are those of a pair-by-pair loop in row order: the first pair
-    whose grid is over ``MAX_DP_CELLS`` or whose alignment has no gap-free
-    column is named, and no pair after one over the budget is aligned.
+    Every pair is checked against ``MAX_DP_CELLS`` before any grid is
+    filled: if any is over, the first such pair in row order is named and
+    nothing is aligned. Otherwise the error names the first pair in row
+    order whose alignment has no gap-free column.
     """
     ids = check_raw_inputs(seqs)
     n = len(seqs)
@@ -175,24 +177,23 @@ def pairwise_distance_matrix(
     )
     key_a, key_b = np.divmod(keys, len(strings))
     lengths = np.array([len(r) for r in strings])
-    over = (lengths[key_a] + 1) * (lengths[key_b] + 1) > MAX_DP_CELLS
-    # A pair-by-pair loop would stop at the first pair over the budget.
-    todo = np.flatnonzero(first < first[over].min(initial=len(rows)))
-    matches = np.zeros(len(keys), dtype=np.int64)
-    comparable = np.zeros(len(keys), dtype=np.int64)
-    matches[todo], comparable[todo] = batch_site_counts(
-        [(strings[a], strings[b]) for a, b in zip(key_a[todo].tolist(), key_b[todo].tolist())], s
-    )
-    failed = np.flatnonzero(comparable[key_of_pair] == 0)
-    if failed.size:
-        i, j = rows[failed[0]], cols[failed[0]]
+    # No grid is filled while any key is over the budget.
+    failed = (lengths[key_a] + 1) * (lengths[key_b] + 1) > MAX_DP_CELLS
+    if not failed.any():
+        matches, comparable = batch_site_counts(
+            [(strings[a], strings[b]) for a, b in zip(key_a.tolist(), key_b.tolist())], s
+        )
+        failed = comparable == 0
+    if failed.any():
+        k = first[failed].min()  # the first pair of a failed key, in row order
+        i, j = rows[k], cols[k]
         try:
             check_dp_cells(len(residues[i]), len(residues[j]))
             raise ValueError(_NO_SITES)  # within the budget, so it was aligned
         except ValueError as err:
             raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
     # Keys share fractions: a many_taxa job's 1,450-2,120 keys hold 13-20 distinct
-    # ones. A dict, since np.unique's first call added about 0.25 MB to peak RSS.
+    # ones, so a dict corrects each distinct fraction once.
     fractions = ((comparable - matches) / comparable).tolist()
     distance = {p: _jukes_cantor_value(p) for p in set(fractions)}
     distances = np.array([distance[p] for p in fractions])

@@ -10,7 +10,7 @@ pairs, so they cost O(width) whatever the depth.
 from __future__ import annotations
 
 from .pairwise import ScoringScheme
-from .profiles import build_profile
+from .profiles import _column_counts
 from .sequences import Msa
 
 
@@ -22,10 +22,8 @@ def _pair_counts(msa: Msa) -> tuple[int, int, int]:
     ones C(R, 2) minus those, and the residue-against-gap ones R * gaps.
     Gap-gap pairs are not counted.
     """
-    if msa.depth < 2:
-        return 0, 0, 0
-    counts = build_profile(msa).counts
-    # Profile columns count A, C, G, T, then the gap.
+    counts = _column_counts(msa.codes)
+    # The columns count A, C, G, T, then the gap.
     letters, gaps = counts[:, :-1], counts[:, -1]
     residues = msa.depth - gaps
     # Python ints from here on: the callers weight them by scores up to 2**31.

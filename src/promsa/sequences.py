@@ -99,8 +99,9 @@ class Msa:
         data = "".join(row.residues for row in rows).encode("ascii")
         codes = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
         ids = tuple(row.id for row in rows)
-        self._set_block(ids, tuple(row.description for row in rows), codes)
-        self.__dict__["rows"] = rows
+        descriptions = tuple(row.description for row in rows)
+        self.__dict__.update(ids=ids, descriptions=descriptions, codes=codes, rows=rows)
+        self.__post_init__()
 
     @classmethod
     def _from_codes(
@@ -109,14 +110,9 @@ class Msa:
         """An alignment over a uint8 code block, which it takes over and makes read-only."""
         codes.flags.writeable = False
         msa = cls.__new__(cls)
-        msa._set_block(ids, descriptions, codes)
+        msa.__dict__.update(ids=ids, descriptions=descriptions, codes=codes)
+        msa.__post_init__()
         return msa
-
-    def _set_block(
-        self, ids: tuple[str, ...], descriptions: tuple[str, ...], codes: np.ndarray
-    ) -> None:
-        self.__dict__.update(ids=ids, descriptions=descriptions, codes=codes)
-        self.__post_init__()
 
     def __post_init__(self):
         ids, codes = self.ids, self.codes

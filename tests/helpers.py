@@ -10,8 +10,9 @@ closest-pair selection, the guide-tree builders over a (2n-1)-square
 working table, recursive guide-tree walks, a minimal Newick reader, and
 random tree/matrix/merge-log generators. Everything here is independent
 of the code paths under test, except that the rebuilding merge aligns
-with the shared ``align_strings``, and the merge stage over rows joins
-two leaves with the shared ``align_global``."""
+with the shared ``align_strings``, the merge stage over rows joins two
+leaves with the shared ``align_global``, and the distance loop checks
+cell budgets with the shared ``check_dp_cells``."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from promsa import (
     jukes_cantor,
 )
 from promsa.guide_tree import BuildStats, GuideTree, Merge
-from promsa.pairwise import DIAG, LEFT, UP, expand_by_moves
+from promsa.pairwise import DIAG, LEFT, UP, check_dp_cells, expand_by_moves
 from promsa.profiles import SYMBOL_ORDER
 from promsa.sequences import _LINE, _LINE_END, ALPHABET
 
@@ -306,8 +307,14 @@ def loop_pair_counts(msa: Msa) -> tuple[int, int, int]:
 
 def pair_loop_distance_matrix(seqs: list[Sequence], s: ScoringScheme) -> DistanceMatrix:
     """Jukes-Cantor distances with one alignment per unordered pair,
-    repeated residue strings included; errors name the pair."""
+    repeated residue strings included, after every pair's cell budget is
+    checked; errors name the pair."""
     n = len(seqs)
+    for i, j in combinations(range(n), 2):
+        try:
+            check_dp_cells(len(seqs[i]), len(seqs[j]))
+        except ValueError as err:
+            raise ValueError(f"pair ({seqs[i].id}, {seqs[j].id}): {err}") from err
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

@@ -537,6 +537,33 @@ class TestPairwiseDistanceMatrix:
                 mp.setattr(promsa.distances, "MAX_DP_CELLS", budget)
             assert outcome(pairwise_distance_matrix) == outcome(pair_loop_distance_matrix)
 
+    @pytest.mark.parametrize("n_short", [4, 14])  # 21 keys, then 136: both sides of _LANE_MIN
+    def test_a_pair_over_the_budget_fills_no_grid(self, monkeypatch, n_short):
+        # Short-long pairs take at most 13 x 24 = 312 cells and long-long ones
+        # at least 22 x 23 = 506, so the pairs over the budget come last in
+        # row order, and the first of them is (s{n_short}, s{n_short + 1}).
+        monkeypatch.setattr(promsa.pairwise, "MAX_DP_CELLS", 400)
+        monkeypatch.setattr(promsa.distances, "MAX_DP_CELLS", 400)
+        rng = random.Random(n_short)
+        picks = [random_dna(rng, 12, 12) for _ in range(n_short)]
+        picks += [random_dna(rng, length, length) for length in (21, 22, 23)]
+        seqs = [Sequence(f"s{i}", residues) for i, residues in enumerate(picks)]
+        fills = []
+
+        def counting(name):
+            fill = getattr(promsa.pairwise, name)
+            return lambda *args: fills.append(name) or fill(*args)
+
+        for name in ("_fill", "_lane_counts"):
+            monkeypatch.setattr(promsa.pairwise, name, counting(name))
+        message = (
+            f"pair (s{n_short}, s{n_short + 1}): aligning lengths 21 and 22 needs 506 DP "
+            "cells, over the budget of 400"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pairwise_distance_matrix(seqs)
+        assert fills == []
+
     def test_no_per_pair_alignment_above_the_lane_minimum(self, monkeypatch):
         calls = []
 
