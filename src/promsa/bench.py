@@ -10,6 +10,7 @@ are constant per dataset and only the timings vary.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from statistics import median_low
 
 from .datasets import CLASSES, generate_sequences
 from .pairwise import ScoringScheme
@@ -47,15 +48,11 @@ class BenchRecord:
             seed=seed,
         )
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.method},{self.n_sequences},{self.mean_length:.2f},"
-            f"{self.distance_ms},{self.tree_ms},{self.merge_ms},{self.total_ms},"
-            f"{self.total_cost:.6f},{self.sp_score},{self.seed}"
-        )
 
-
-BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+_CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+BENCH_CSV_HEADER = ",".join(_CSV_COLUMNS)
+# The columns not written with str(); every other field is a name or an int.
+_CSV_FORMATS = {"mean_length": ".2f", "total_cost": ".6f"}
 
 
 def run_bench(
@@ -99,22 +96,28 @@ def run_bench(
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    lines = [BENCH_CSV_HEADER]
-    lines.extend(record.csv_row() for record in records)
-    return "\n".join(lines) + "\n"
+    """The header, then one row per record: its fields in declaration order."""
+    rows = (",".join(format(getattr(rec, col), _CSV_FORMATS.get(col, "")) for col in _CSV_COLUMNS)
+            for rec in records)
+    return "\n".join((BENCH_CSV_HEADER, *rows)) + "\n"
 
 
 def summarize(records: list[BenchRecord]) -> str:
-    """Per-dataset method comparison of total cost and total time."""
-    datasets: dict[tuple, dict[str, BenchRecord]] = {}
+    """Per-dataset method comparison of total cost and total time.
+
+    A method's time is the ``statistics.median_low`` of its repetitions'
+    ``total_ms``, a time one of them took; its cost is the same on every
+    repetition.
+    """
+    datasets: dict[tuple, dict[str, list[BenchRecord]]] = {}
     for record in records:
         key = (record.seed, record.n_sequences, record.mean_length)
-        datasets.setdefault(key, {})[record.method] = record
+        datasets.setdefault(key, {}).setdefault(record.method, []).append(record)
     lines = []
     for (seed, n, mean_length), by_method in datasets.items():
         parts = [
-            f"{method}: cost {rec.total_cost:.1f}, {rec.total_ms} ms"
-            for method, rec in by_method.items()
+            f"{method}: cost {reps[0].total_cost:.1f}, {median_low(r.total_ms for r in reps)} ms"
+            for method, reps in by_method.items()
         ]
         lines.append(
             f"n={n} mean_len={mean_length:.1f} seed={seed}  " + "  ".join(parts)

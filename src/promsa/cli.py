@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_align = sub.add_parser("align", help="align a FASTA file progressively")
+    p_align.set_defaults(run=_cmd_align)
     p_align.add_argument("--input", required=True, help="input FASTA of raw sequences")
     p_align.add_argument("--guide", choices=GUIDE_METHODS, default="upgma")
     _add_scoring_flags(p_align)
@@ -88,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_tree = sub.add_parser("tree", help="build a guide tree only")
+    p_tree.set_defaults(run=_cmd_tree)
     p_tree.add_argument("--input", required=True)
     p_tree.add_argument("--method", choices=GUIDE_METHODS, required=True)
     p_tree.add_argument("--out", required=True, help="Newick output path")
@@ -96,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scoring_flags(p_tree)
 
     p_gen = sub.add_parser("gen", help="generate a random DNA dataset")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument(
         "--class",
         dest="dataset_class",
@@ -109,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="output FASTA (default stdout)")
 
     p_bench = sub.add_parser("bench", help="run the UPGMA vs NJ comparison harness")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument(
         "--classes",
         type=_names((*CLASSES, "large")),
@@ -217,19 +221,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "align": _cmd_align,
-    "tree": _cmd_tree,
-    "gen": _cmd_gen,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, PipelineError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

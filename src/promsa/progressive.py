@@ -78,9 +78,12 @@ def merge_along(
     """Merge gapless ``seqs`` in the order of ``merge_log``, whose leaves
     index ``seqs``, and return the alignment with its rows in input order.
 
-    Raises ValueError if the log joins a cluster that is not pending, or
-    does not join every sequence into one tree.
+    Raises ValueError if ``seqs`` are not two or more gapless sequences
+    with distinct ids (rows are put back in input order by id), or if the
+    log joins a cluster that is not pending, or does not join every
+    sequence into one tree.
     """
+    check_raw_inputs(seqs)
     groups: dict[int, Sequence | Msa] = dict(enumerate(seqs))
     for step in merge_log:
         try:

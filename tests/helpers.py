@@ -8,7 +8,8 @@ the all-gap column scan, row-pair
 sum-of-pairs loops, the pair-by-pair guide-tree join scan, the masked
 closest-pair selection, the guide-tree builders over a (2n-1)-square
 working table, recursive guide-tree walks, a minimal Newick reader, and
-random tree/matrix/merge-log generators. Everything here is independent
+random tree/matrix/merge-log generators, and the hand-written bench CSV
+row. Everything here is independent
 of the code paths under test, except that the rebuilding merge aligns
 with the shared ``align_strings``, the merge stage over rows joins two
 leaves with the shared ``align_global``, and the distance loop checks
@@ -37,6 +38,7 @@ from promsa import (
     column_stats,
     jukes_cantor,
 )
+from promsa.bench import BenchRecord
 from promsa.guide_tree import BuildStats, GuideTree, Merge
 from promsa.pairwise import DIAG, LEFT, UP, check_dp_cells, expand_by_moves
 from promsa.profiles import SYMBOL_ORDER
@@ -778,3 +780,12 @@ def msa_of_rows(rows) -> Msa:
 
 def random_dna(rng, lo: int, hi: int) -> str:
     return "".join(rng.choice("ACGT") for _ in range(rng.randint(lo, hi)))
+
+
+def hand_written_csv_row(r: BenchRecord) -> str:
+    """A bench CSV row with every column named and formatted by hand."""
+    return (
+        f"{r.method},{r.n_sequences},{r.mean_length:.2f},"
+        f"{r.distance_ms},{r.tree_ms},{r.merge_ms},{r.total_ms},"
+        f"{r.total_cost:.6f},{r.sp_score},{r.seed}"
+    )

@@ -2,12 +2,15 @@ import csv
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import promsa.bench
-from helpers import SETUP1, newick_leaf_sets, parse_newick
+from helpers import SETUP1, hand_written_csv_row, newick_leaf_sets, parse_newick
 from promsa import ScoringScheme, TieBreak, align_global, generate_sequences, parse_fasta
-from promsa.bench import BENCH_CSV_HEADER
+from promsa.bench import BENCH_CSV_HEADER, BenchRecord, records_to_csv, summarize
 from promsa.cli import build_parser, main
+from promsa.progressive import GUIDE_METHODS
 
 
 def write_setup1(path) -> str:
@@ -242,6 +245,24 @@ class TestGenCommand:
             generate_sequences(2, 0, 5, seed=0)
 
 
+_INTS = st.integers(-(2**70), 2**70)
+# Any float, or one at a half of the last printed digit of the .2f or .6f
+# column: the rounding edge.
+BENCH_RECORDS = st.builds(
+    BenchRecord,
+    st.sampled_from(GUIDE_METHODS),
+    _INTS,
+    st.one_of(st.floats(), st.integers(-10**7, 10**7).map(lambda k: k / 200)),
+    _INTS,
+    _INTS,
+    _INTS,
+    _INTS,
+    st.one_of(st.floats(), st.integers(-10**12, 10**12).map(lambda k: k / 2e6)),
+    _INTS,
+    _INTS,
+)
+
+
 class TestBenchCommand:
     def test_row_count_and_header(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -326,6 +347,25 @@ class TestBenchCommand:
         assert len(rows) == 2
         assert {row["method"] for row in rows} == {"upgma", "nj"}
         capsys.readouterr()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(BENCH_RECORDS, max_size=4))
+    def test_csv_rows_equal_the_hand_written_format(self, records):
+        expected = "\n".join([BENCH_CSV_HEADER, *map(hand_written_csv_row, records)]) + "\n"
+        assert records_to_csv(records) == expected
+
+    def test_summary_shows_each_methods_median_low_time(self):
+        def record(method, total_ms, seed=1):
+            cost = 12.5 if method == "upgma" else 11.0
+            return BenchRecord(method, 5, 7.5, 0, 0, 0, total_ms, cost, 30, seed)
+
+        # The last repetition of each method is not its median.
+        records = [record("upgma", ms) for ms in (40, 10, 30, 90, 5)]
+        records += [record("nj", ms) for ms in (2, 8)] + [record("upgma", 3, seed=2)]
+        assert summarize(records) == (
+            "n=5 mean_len=7.5 seed=1  upgma: cost 12.5, 30 ms  nj: cost 11.0, 2 ms\n"
+            "n=5 mean_len=7.5 seed=2  upgma: cost 12.5, 3 ms"
+        )
 
     def test_csv_fields_parse_as_numbers(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -171,6 +171,23 @@ class TestMergeAlong:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             merge_along(seqs, log, ScoringScheme(), TieBreak())
 
+    @pytest.mark.parametrize(
+        ("ids", "residues", "message"),
+        [
+            ("aac", ("ACGTAC", "TTTT", "GGACC"), "sequence ids must be distinct"),
+            ("abc", ("ACGTAC", "TT_T", "GGACC"), "sequence 'b' contains gaps"),
+        ],
+        ids=["repeated-id", "gapped-row"],
+    )
+    def test_inputs_the_pipeline_rejects_are_rejected(self, ids, residues, message):
+        # The log joins the same residues under distinct ids; rows are put
+        # back in input order by id, so a repeated id would lose a row.
+        distinct = [Sequence(i, r.replace("_", "")) for i, r in zip("abc", residues)]
+        log = progressive_align(distinct, _config()).guide_tree.merge_log
+        seqs = [Sequence(i, r) for i, r in zip(ids, residues)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            merge_along(seqs, log, ScoringScheme(), TieBreak())
+
 
 class TestProgressiveAlign:
     def test_setup1_inputs_align_under_both_methods(self):

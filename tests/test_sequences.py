@@ -98,8 +98,10 @@ class TestMsa:
         assert msa != Msa((Sequence("a", "ACT_"), Sequence("b", "ACGT")))
         assert msa != Msa((Sequence("a", "ACGT"),)) and msa != "AC_T"
         assert msa.column(-1) == "TT" and repr(msa).startswith("Msa(rows=(Sequence(id='a'")
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'codes'$"):
             msa.codes = msa.codes
+        with pytest.raises(AttributeError, match="^cannot delete field 'codes'$"):
+            del msa.codes
 
     @pytest.mark.parametrize(
         ("ids", "rows", "message"),
