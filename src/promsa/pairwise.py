@@ -29,8 +29,10 @@ DIAG, UP, LEFT = "D", "U", "L"
 _GAP_MOVE = {DIAG + UP: LEFT, DIAG + LEFT: UP}
 
 # Largest score grid a call may fill. The budget stays in cells whatever a
-# cell's width: 2 GiB on an int64 grid, 1 GiB on an int32 one. With every
-# score within 2**31 (checked by ScoringScheme), each cell stays below 2**60.
+# cell's width (_grid_dtype): 512 MiB on an int16 grid, 1 GiB on an int32 one
+# and 2 GiB on an int64 one. Under the default scores a grid is int16 while
+# min(m, n) <= 6,553. With every score within 2**31 (checked by
+# ScoringScheme), each cell stays below 2**60.
 MAX_DP_CELLS = 2**28
 _MAX_SCORE = 2**31
 
@@ -145,18 +147,24 @@ def _diag_steps(s: ScoringScheme) -> tuple[int, int]:
 
 
 def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int, shift: int = 0) -> type:
-    """int32 when every value an (m+1) x (n+1) shifted grid fill forms fits
-    even shifted left by ``shift``, as in lane keys, else int64.
+    """The narrowest of int16, int32 and int64 that holds every value an
+    (m+1) x (n+1) shifted grid fill forms, even shifted left by ``shift``.
 
     Each F lies in [0, min(m, n) * the best diagonal step, or 0], each
     diagonal sum F + step is at least the smaller diagonal step, and a lane
     key also adds match step - mismatch step, which ``_fill`` never forms.
+    Under the default scores a grid is int16 while min(m, n) <= 6,553.
+    Lane keys (``shift`` > 0) are at least int32, since their count and
+    preference bits fill the low ``_SCORE_SHIFT`` bits whatever the scores.
     """
-    int32 = np.iinfo(np.int32)
     top = min(m, n) * max(0, diag_match, diag_mismatch)
     values = (top, min(diag_match, diag_mismatch), diag_match - diag_mismatch)
-    fits = int32.min <= min(values) << shift and max(values) << shift <= int32.max
-    return np.int32 if fits else np.int64
+    low, high = min(values) << shift, max(values) << shift
+    for dtype in (np.int32,) if shift else (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    return np.int64
 
 
 def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:

@@ -1,7 +1,9 @@
 import random
 import re
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,17 @@ from promsa import (
     build_dp_matrix,
 )
 import promsa.pairwise
-from promsa.pairwise import _MEMO_SYMBOLS, MAX_DP_CELLS, _memo_align, expand_by_moves
+from promsa.pairwise import (
+    _LANE_MIN,
+    _MEMO_SYMBOLS,
+    _SCORE_SHIFT,
+    MAX_DP_CELLS,
+    _grid_dtype,
+    _memo_align,
+    batch_site_counts,
+    expand_by_moves,
+    site_counts,
+)
 
 FIG2_SCHEME = ScoringScheme(3, 1, -1)
 SETUP_SCHEME = ScoringScheme(3, 0, -1)
@@ -287,10 +299,14 @@ class TestScalarOracle:
 
 
 class TestGridDtype:
-    """The numpy grid is int32 only when every F and every diagonal sum fits.
+    """The numpy grid takes the narrowest of int16, int32 and int64 (2, 4 or
+    8 bytes a cell) that holds every F, every diagonal sum and the difference
+    of the two diagonal steps; under the default scores it is int16 while
+    min(m, n) <= 6,553.
 
     "A" or "AA" against 40 A's (a numpy row) reaches the F bound
-    min(m, n) * (match - 2 * gap), the largest value the grid holds.
+    min(m, n) * (match - 2 * gap), the largest value the grid holds; "AC"
+    adds mismatches, whose step may be the smallest value.
     """
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -311,6 +327,59 @@ class TestGridDtype:
         b = "A" * 40
         assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
         assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        ("a", "scores", "itemsize"),
+        [
+            ("A", (3, 0, -1), 2),  # the default scores
+            ("A", (2**15 - 1, 0, 0), 2),  # F bound 2**15 - 1
+            ("A", (2**15, 0, 0), 4),  # 2**15
+            ("AA", (2**14 - 1, 0, 0), 2),  # 2**15 - 2
+            ("AA", (2**14, 0, 0), 4),  # 2**15
+            ("AA", (2**13, 0, -(2**12)), 4),  # 2**15, half of it from the gap term
+            ("AC", (-1, -(2**15), 0), 2),  # smaller step -2**15, difference 2**15 - 1
+            ("AC", (-1, -(2**15) - 1, 0), 4),  # smaller step -2**15 - 1
+            ("AC", (1, -(2**15) + 2, 0), 2),  # steps 1 and -2**15 + 2, difference 2**15 - 1
+            ("AC", (1, -(2**15) + 1, 0), 4),  # difference 2**15
+            ("A", (2**31 - 1, 0, 0), 4),
+            ("A", (2**31, 0, 0), 8),
+        ],
+    )
+    def test_grid_takes_the_narrowest_width_that_fits(self, a, scores, itemsize):
+        s = ScoringScheme(*scores)
+        b = "A" * 40
+        assert promsa.pairwise._fill(a, b, s).itemsize == itemsize
+        assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
+        assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))
+
+    def test_lane_keys_never_take_int16(self):
+        # With every step 0 the scores alone would fit int16, but a key's
+        # count and preference bits fill its low _SCORE_SHIFT bits.
+        assert _grid_dtype(400, 400, 0, 0, _SCORE_SHIFT) is np.int32
+        s = ScoringScheme(0, 0, 0)
+        rng = random.Random(0)
+        pairs = [(random_dna(rng, 1, 30), random_dna(rng, 1, 30)) for _ in range(_LANE_MIN + 6)]
+        matches, comparable = batch_site_counts(pairs, s)
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(a, b, s) for a, b in pairs
+        ]
+
+    def test_an_800_by_800_fill_takes_about_two_bytes_a_cell(self):
+        rng = random.Random(800)
+        a, b = random_dna(rng, 800, 800), random_dna(rng, 800, 800)
+        _memo_align.cache_clear()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            align_strings(a, b, SETUP_SCHEME)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.25 * 801 * 801
 
 
 @pytest.mark.parametrize(
