@@ -3,14 +3,13 @@
 Two complementary views: a distance-style total cost (lower is better)
 and a score under the alignment's own match/mismatch/gap scheme (higher
 is better). Both are weighted sums of one tally of column pairs, taken
-from the alignment's per-column symbol counts rather than from its row
-pairs, so they cost O(width) whatever the depth.
+from the per-column symbol counts the alignment took when it was built
+rather than from its row pairs, so they cost O(width) whatever the depth.
 """
 
 from __future__ import annotations
 
 from .pairwise import ScoringScheme
-from .profiles import _column_counts
 from .sequences import Msa
 
 
@@ -22,9 +21,8 @@ def _pair_counts(msa: Msa) -> tuple[int, int, int]:
     ones C(R, 2) minus those, and the residue-against-gap ones R * gaps.
     Gap-gap pairs are not counted.
     """
-    counts = _column_counts(msa.codes)
     # The columns count A, C, G, T, then the gap.
-    letters, gaps = counts[:, :-1], counts[:, -1]
+    letters, gaps = msa.counts[:, :-1], msa.counts[:, -1]
     residues = msa.depth - gaps
     # Python ints from here on: the callers weight them by scores up to 2**31.
     match = int((letters * (letters - 1)).sum()) // 2

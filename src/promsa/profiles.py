@@ -1,15 +1,15 @@
 """Column frequency profiles, consensus extraction, and merge operations.
 
 A profile records, for every alignment column, how often each of A, C, G,
-T and the gap symbol occurs. Consensus extraction picks the most frequent
-symbol per column; ties are settled by a pluggable policy. Merging a
-sequence or a second alignment into a group goes through the group's
-consensus: the consensus is globally aligned (gap glyphs acting as an
-ordinary fifth letter), and every gap the aligner inserts into a consensus
-becomes a full gap column in the corresponding group. A merge works on
-code blocks: a group's consensus comes from one count of its codes, and
-each side's block is placed on the joint columns in one step, so no row
-is rebuilt.
+T and the gap symbol occurs: the counts every ``Msa`` takes when it is
+built. Consensus extraction picks the most frequent symbol per column;
+ties are settled by a pluggable policy. Merging a sequence or a second
+alignment into a group goes through the group's consensus: the consensus
+is globally aligned (gap glyphs acting as an ordinary fifth letter), and
+every gap the aligner inserts into a consensus becomes a full gap column
+in the corresponding group. A merge takes its two operands whole, each an
+alignment or a lone sequence, and places each one's code block on the
+joint columns in one step, so no row is rebuilt.
 """
 
 from __future__ import annotations
@@ -24,12 +24,8 @@ import numpy as np
 from .pairwise import LEFT, UP, ScoringScheme, align_strings
 from .sequences import GAP, SYMBOLS, Msa, Sequence
 
-SYMBOL_ORDER = SYMBOLS
-
-# ASCII codes of SYMBOL_ORDER, and the position in SYMBOL_ORDER of each code.
-_SYMBOL_CODES = np.frombuffer(SYMBOL_ORDER.encode("ascii"), dtype=np.uint8)
-_SYMBOL_INDEX = np.zeros(256, dtype=np.intp)
-_SYMBOL_INDEX[_SYMBOL_CODES] = np.arange(len(SYMBOL_ORDER))
+# The ASCII code of each of SYMBOLS, the order of a count table's columns.
+_SYMBOL_CODES = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
 
 CONSENSUS_ID = "consensus"
 
@@ -63,7 +59,11 @@ class TieBreak:
         return TieBreak(self.mode, self.seed)
 
     def choose(self, candidates: Iterable[str]) -> str:
-        ordered = sorted(set(candidates), key=SYMBOL_ORDER.index)
+        candidates = set(candidates)
+        unknown = candidates.difference(SYMBOLS)
+        if unknown:
+            raise ValueError(f"candidates not in {SYMBOLS!r}: {sorted(unknown)}")
+        ordered = sorted(candidates, key=SYMBOLS.index)
         if not ordered:
             raise ValueError("no candidates to choose from")
         if len(ordered) == 1 or self.mode == self.LEX:
@@ -76,7 +76,7 @@ class ProfileMatrix:
     """Per-column symbol counts over an alignment's rows.
 
     ``counts`` is a read-only width x 5 int64 array whose columns follow
-    SYMBOL_ORDER (A, C, G, T, gap). Frequencies are exposed as count/depth,
+    SYMBOLS (A, C, G, T, gap). Frequencies are exposed as count/depth,
     so every value is a multiple of 1/depth and each column's frequencies
     sum to one. Profiles compare by identity; compare ``counts`` with
     ``np.array_equal``.
@@ -87,8 +87,8 @@ class ProfileMatrix:
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != len(SYMBOL_ORDER):
-            raise ValueError(f"counts must be a width x {len(SYMBOL_ORDER)} table")
+        if counts.ndim != 2 or counts.shape[1] != len(SYMBOLS):
+            raise ValueError(f"counts must be a width x {len(SYMBOLS)} table")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
         bad = np.flatnonzero(counts.sum(axis=1) != self.depth)
@@ -100,32 +100,22 @@ class ProfileMatrix:
     def column_frequencies(self, column: int) -> dict[str, float]:
         return {
             symbol: count / self.depth
-            for symbol, count in zip(SYMBOL_ORDER, self.counts[column].tolist())
+            for symbol, count in zip(SYMBOLS, self.counts[column].tolist())
             if count
         }
-
-
-def _column_counts(codes: np.ndarray) -> np.ndarray:
-    """width x 5 counts of each SYMBOL_ORDER symbol per column of a code block."""
-    width = codes.shape[1]
-    # Symbol k in column j counts into bin 5*j + k.
-    keys = _SYMBOL_INDEX.take(codes)
-    keys += np.arange(0, len(SYMBOL_ORDER) * width, len(SYMBOL_ORDER))
-    counts = np.bincount(keys.ravel(), minlength=len(SYMBOL_ORDER) * width)
-    return counts.reshape(width, len(SYMBOL_ORDER))
 
 
 def _majority(counts: np.ndarray, tie: TieBreak) -> str:
     """The most frequent symbol of each column of ``counts``; only tied
     columns are visited, in column order, so a random policy draws in the
     same columns and order as a walk over every column."""
-    # argmax takes the first leader in SYMBOL_ORDER, which is the lex rule.
+    # argmax takes the first leader in SYMBOLS, which is the lex rule.
     out = _SYMBOL_CODES[counts.argmax(axis=1)]
     if tie.mode == TieBreak.RANDOM:
         leads = counts == counts.max(axis=1, keepdims=True)
         tied = np.flatnonzero(leads.sum(axis=1) > 1)
         for index, lead in zip(tied.tolist(), leads[tied].tolist()):
-            out[index] = ord(tie.choose(compress(SYMBOL_ORDER, lead)))
+            out[index] = ord(tie.choose(compress(SYMBOLS, lead)))
     return out.tobytes().decode("ascii")
 
 
@@ -133,7 +123,7 @@ def build_profile(msa: Msa) -> ProfileMatrix:
     """Count symbol occurrences per column; requires at least two rows."""
     if msa.depth < 2:
         raise ValueError("a profile needs at least two sequences")
-    return ProfileMatrix(_column_counts(msa.codes), msa.depth)
+    return ProfileMatrix(msa.counts, msa.depth)
 
 
 def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
@@ -145,19 +135,25 @@ def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
     return Sequence(CONSENSUS_ID, _majority(profile.counts, tie))
 
 
-# Aligned rows as their ids, their descriptions and their uint8 code block.
-_Block = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
+def _operand(operand: Msa | Sequence, tie: TieBreak):
+    """A merge operand's ids, descriptions, uint8 code block and the string
+    aligned for it: an alignment's consensus, or a lone sequence's residues."""
+    if isinstance(operand, Msa):
+        return operand.ids, operand.descriptions, operand.codes, _majority(operand.counts, tie)
+    codes = np.frombuffer(operand.residues.encode("ascii"), dtype=np.uint8).reshape(1, -1)
+    return (operand.id,), (operand.description,), codes, operand.residues
 
 
-def _merge(block1: _Block, c1: str, block2: _Block, c2: str, s: ScoringScheme) -> Msa:
-    """Align ``c1`` and ``c2``, which stand for ``block1`` and ``block2`` (a
-    consensus, or a lone row itself), and place both blocks on the joint
-    columns, the first above the second: each block fills the columns whose
-    moves consume its string, and each gap put into its string is a gap
-    column in it."""
+def _merge(first: Msa | Sequence, second: Msa | Sequence, s: ScoringScheme, tie: TieBreak) -> Msa:
+    """Align the strings that stand for ``first`` and ``second`` (a random
+    tie-break draws for the first one's consensus first) and place both
+    operands on the joint columns, the first above the second: each fills
+    the columns whose moves consume its string, and each gap put into its
+    string is a gap column in it."""
+    ids1, descriptions1, codes1, c1 = _operand(first, tie)
+    ids2, descriptions2, codes2, c2 = _operand(second, tie)
     _, moves = align_strings(c1, c2, s)
     steps = np.frombuffer(moves.encode("ascii"), dtype=np.uint8)
-    (ids1, descriptions1, codes1), (ids2, descriptions2, codes2) = block1, block2
     depth1 = len(ids1)
     codes = np.full((depth1 + len(ids2), len(moves)), ord(GAP), dtype=np.uint8)
     codes[:depth1, steps != ord(LEFT)] = codes1
@@ -179,11 +175,7 @@ def align_sequence_to_profile(
     """
     if not newcomer.is_gapless:
         raise ValueError(f"newcomer {newcomer.id!r} must be gapless")
-    lone = np.frombuffer(newcomer.residues.encode("ascii"), dtype=np.uint8).reshape(1, -1)
-    return _merge(
-        (group.ids, group.descriptions, group.codes), _majority(_column_counts(group.codes), tie),
-        ((newcomer.id,), (newcomer.description,), lone), newcomer.residues, s,
-    )
+    return _merge(group, newcomer, s, tie)
 
 
 def align_profile_to_profile(
@@ -197,8 +189,4 @@ def align_profile_to_profile(
     Gaps inserted into either consensus become gap columns in that group;
     the second group's rows follow the first's.
     """
-    c1 = _majority(_column_counts(g1.codes), tie)
-    c2 = _majority(_column_counts(g2.codes), tie)
-    return _merge(
-        (g1.ids, g1.descriptions, g1.codes), c1, (g2.ids, g2.descriptions, g2.codes), c2, s
-    )
+    return _merge(g1, g2, s, tie)

@@ -3,8 +3,10 @@
 Residues are plain strings over the alphabet A, C, G, T with ``_`` as the
 internal gap glyph. FASTA output renders gaps as ``-``; both glyphs are
 accepted on input. An alignment holds its rows as one uint8 code block and
-builds them as ``Sequence`` values only when they are read. All types are
-immutable values and safe to share across threads.
+builds them as ``Sequence`` values only when they are read. It counts each
+column's symbols once, when it is built, in the pass that checks its codes;
+profiles, consensus and sum-of-pairs scoring read those counts. All types
+are immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ SYMBOLS = ALPHABET + GAP
 
 FASTA_LINE_WIDTH = 60
 
-# True at the ASCII code of each of SYMBOLS.
-_IS_SYMBOL = np.zeros(256, dtype=bool)
-_IS_SYMBOL[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = True
+# The count bin of each code: its position in SYMBOLS, or len(SYMBOLS) for any other code.
+_BIN = np.full(256, len(SYMBOLS), dtype=np.intp)
+_BIN[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(len(SYMBOLS))
 
 _LINE_END = r"\r\n?|\n"  # str.splitlines also breaks at \f, \v, \x85, \u2028 and more
 _LINE = re.compile(rf"[^\r\n]*(?:{_LINE_END})|[^\r\n]+")
@@ -78,12 +80,14 @@ class Msa:
     """A rectangular block of gapped sequences, held as codes.
 
     ``codes`` is a read-only uint8 depth x width array of the rows' ASCII
-    codes, and ``ids`` and ``descriptions`` name its rows. Invariants
-    enforced on construction: at least one row, ids and descriptions for
-    every row of codes, only SYMBOLS in the codes, and no column made up
-    entirely of gaps. ``rows`` builds the rows as Sequences when first read
-    and keeps them. Alignments compare and hash by ids, descriptions and
-    codes, and are immutable.
+    codes, and ``ids`` and ``descriptions`` name its rows. ``counts`` is a
+    read-only width x 5 int64 array holding how often each of SYMBOLS (A,
+    C, G, T, gap, in that order) occurs in each column; it is taken in the
+    one pass that checks the codes. Invariants enforced on construction: at
+    least one row, ids and descriptions for every row of codes, only
+    SYMBOLS in the codes, and no column made up entirely of gaps. ``rows``
+    builds the rows as Sequences when first read and keeps them. Alignments
+    compare and hash by ids, descriptions and codes, and are immutable.
     """
 
     def __init__(self, rows: tuple[Sequence, ...]):
@@ -125,15 +129,20 @@ class Msa:
             )
         if not codes.shape[1]:
             raise ValueError(f"sequence {ids[0]!r} has no residues")
-        symbols = _IS_SYMBOL.take(codes)
-        if not symbols.all():
-            row = int(symbols.all(axis=1).argmin())
+        # Code c of column j counts into bin 6*j + _BIN[c], so the last bin of
+        # each column counts its codes outside SYMBOLS.
+        width, bins = codes.shape[1], len(SYMBOLS) + 1
+        keys = _BIN.take(codes) + np.arange(0, bins * width, bins)
+        counts = np.bincount(keys.ravel(), minlength=bins * width).reshape(width, bins)
+        if counts[:, -1].any():
+            row = int((_BIN.take(codes) == len(SYMBOLS)).any(axis=1).argmax())
             bad = set(codes[row].tobytes().decode("latin-1")) - set(SYMBOLS)
             raise ValueError(f"sequence {ids[row]!r} contains invalid symbols: {sorted(bad)}")
-        # The gap glyph has the largest code of SYMBOLS.
-        all_gap = codes.min(axis=0) == ord(GAP)
+        all_gap = counts[:, SYMBOLS.index(GAP)] == len(ids)
         if all_gap.any():
             raise ValueError(f"column {int(all_gap.argmax())} consists entirely of gaps")
+        counts.flags.writeable = False
+        self.__dict__["counts"] = counts[:, :-1]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -41,8 +41,7 @@ from promsa import (
 from promsa.bench import BenchRecord
 from promsa.guide_tree import BuildStats, GuideTree, Merge
 from promsa.pairwise import DIAG, LEFT, UP, check_dp_cells, expand_by_moves
-from promsa.profiles import SYMBOL_ORDER
-from promsa.sequences import _LINE, _LINE_END, ALPHABET
+from promsa.sequences import _LINE, _LINE_END, ALPHABET, SYMBOLS
 
 # The seven short test sequences used throughout (degapped).
 SETUP1 = (
@@ -215,9 +214,9 @@ def rebuild_merge(
     rows1: tuple[Sequence, ...], c1: str, rows2: tuple[Sequence, ...], c2: str,
     s: ScoringScheme,
 ) -> Msa:
-    """``profiles._merge`` over rows: align ``c1`` and ``c2`` and rebuild
-    every row of both sides as a gapped Sequence, then the whole group as
-    a new Msa."""
+    """``profiles._merge`` over rows: align ``c1`` and ``c2``, the strings
+    that stand for ``rows1`` and ``rows2``, and rebuild every row of both
+    sides as a gapped Sequence, then the whole group as a new Msa."""
     _, moves = align_strings(c1, c2, s)
     return Msa(tuple(
         Sequence(row.id, expand_by_moves(row.residues, moves, consume), row.description)
@@ -276,7 +275,7 @@ def first_all_gap_column(rows) -> int | None:
 def string_profile_counts(msa: Msa) -> tuple[tuple[int, ...], ...]:
     """Per-column (A, C, G, T, gap) counts by transposing the rows as strings."""
     columns = map("".join, zip(*(row.residues for row in msa.rows)))
-    return tuple(tuple(col.count(symbol) for symbol in SYMBOL_ORDER) for col in columns)
+    return tuple(tuple(col.count(symbol) for symbol in SYMBOLS) for col in columns)
 
 
 def loop_consensus(counts, tie: TieBreak | None = None) -> str:
@@ -286,7 +285,7 @@ def loop_consensus(counts, tie: TieBreak | None = None) -> str:
     out = []
     for column in counts:
         top = max(column)
-        leaders = [symbol for symbol, count in zip(SYMBOL_ORDER, column) if count == top]
+        leaders = [symbol for symbol, count in zip(SYMBOLS, column) if count == top]
         out.append(leaders[0] if len(leaders) == 1 else tie.choose(leaders))
     return "".join(out)
 

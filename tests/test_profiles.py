@@ -25,6 +25,8 @@ from promsa import (
     align_strings,
     build_profile,
     consensus,
+    sp_score,
+    sp_total_cost,
 )
 from promsa.profiles import _merge
 from promsa.sequences import GAP
@@ -279,32 +281,41 @@ class TestMerge:
     def test_equals_rebuild_oracle(self, operands):
         # The merge places code blocks and carries no rows: its block must
         # equal the one rebuilt from gapped rows, whichever side gains gaps.
+        # The oracle's consensus strings come from one policy, first then
+        # second, as the merge draws them.
         rows, other, mode, seed, scores = operands
         s, tie = ScoringScheme(*scores), TieBreak(mode, seed)
+        oracle_tie = tie.fresh()
         group = msa_of_rows(rows)
-        c1 = consensus(build_profile(group), tie).residues
+        c1 = consensus(build_profile(group), oracle_tie).residues
         if isinstance(other, str):
-            rows2, c2 = (Sequence("new", other),), other
-            block2 = (("new",), ("",), np.frombuffer(other.encode(), dtype=np.uint8)[None])
+            second = Sequence("new", other)
+            rows2, c2 = (second,), other
         else:
-            rows2 = tuple(Sequence(f"q{i}", row) for i, row in enumerate(other))
-            group2 = Msa(rows2)
-            block2 = (group2.ids, group2.descriptions, group2.codes)
-            c2 = consensus(build_profile(group2), tie).residues
-        merged = _merge((group.ids, group.descriptions, group.codes), c1, block2, c2, s)
+            second = Msa(tuple(Sequence(f"q{i}", row) for i, row in enumerate(other)))
+            rows2, c2 = second.rows, consensus(build_profile(second), oracle_tie).residues
+        merged = _merge(group, second, s, tie)
         oracle = rebuild_merge(group.rows, c1, rows2, c2, s)
         assert merged == oracle and hash(merged) == hash(oracle)
         assert merged.codes.tobytes() == oracle.codes.tobytes() and not merged.codes.flags.writeable
         assert "rows" not in merged.__dict__ and merged.rows == oracle.rows
 
 
+def test_readers_take_the_counts_made_at_build(monkeypatch):
+    msa = random_msa(random.Random(66), depth=6, width=20)
+    expected = (sp_score(msa), sp_total_cost(msa), consensus(build_profile(msa)))
+    monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: pytest.fail("counted again"))
+    assert (sp_score(msa), sp_total_cost(msa), consensus(build_profile(msa))) == expected
+
+
 @pytest.mark.parametrize(
     ("call", "message"),
     [
         (lambda: TieBreak().choose([]), "no candidates to choose from"),
+        (lambda: TieBreak().choose("XAY"), "candidates not in 'ACGT_': ['X', 'Y']"),
         (lambda: ProfileMatrix(np.ones((2, 4)), 4), "counts must be a width x 5 table"),
     ],
-    ids=["no-candidates", "four-columns"],
+    ids=["no-candidates", "unknown-candidates", "four-columns"],
 )
 def test_rejects_with_its_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

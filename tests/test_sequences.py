@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import char_loop_parse_fasta, first_all_gap_column, gapped_rows, msa_of_rows
+from helpers import (
+    char_loop_parse_fasta,
+    first_all_gap_column,
+    gapped_rows,
+    msa_of_rows,
+    string_profile_counts,
+)
 from promsa import FastaError, Msa, Sequence, parse_fasta, write_fasta
 from promsa.sequences import verify_msa_against_inputs
 
@@ -79,6 +85,17 @@ class TestMsa:
             with pytest.raises(ValueError, match=rf"^column {expected} consists entirely of gaps$"):
                 msa_of_rows(rows)
 
+    @given(gapped_rows())
+    def test_counts_equal_string_oracle(self, rows):
+        msa = msa_of_rows(rows)
+        built = Msa._from_codes(msa.ids, msa.descriptions, msa.codes.copy())
+        expected = [list(column) for column in string_profile_counts(msa)]
+        for counts in (msa.counts, built.counts):
+            assert counts.tolist() == expected
+            assert counts.dtype == np.int64 and counts.shape == (msa.width, 5)
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0, 0] = 0
+
     def test_rows_are_built_once_when_read(self, monkeypatch):
         built = []
         check = Sequence.__post_init__
@@ -110,10 +127,15 @@ class TestMsa:
             (("a", "b", "c"), (b"ACG", b"AC_"), "alignment shape mismatch: 3 ids and 3 "
              "descriptions for codes of shape (2, 3)"),
             (("a", "b"), (b"ACG", b"AXN"), "sequence 'b' contains invalid symbols: ['N', 'X']"),
+            (("a", "b", "c"), (b"ACG", b"A\xe9N", b"XCG"),
+             "sequence 'b' contains invalid symbols: ['N', '\xe9']"),
             (("a", "b"), (b"", b""), "sequence 'a' has no residues"),
             ((), (), "alignment must have at least one row"),
         ],
-        ids=["all-gap-column", "shape-mismatch", "bad-symbol", "no-residues", "no-rows"],
+        ids=[
+            "all-gap-column", "shape-mismatch", "bad-symbol", "bad-symbols-in-two-rows",
+            "no-residues", "no-rows",
+        ],
     )
     def test_codes_constructor_rejects_with_its_message(self, ids, rows, message):
         codes = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1 if rows else 0)
