@@ -15,7 +15,7 @@ from statistics import median_low
 from .datasets import CLASSES, generate_sequences
 from .pairwise import ScoringScheme
 from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
-from .sequences import Sequence
+from .sequences import Sequence, check_raw_inputs
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,10 @@ def run_bench(
     for name in classes:
         if name != "large" and name not in CLASSES:
             raise ValueError(f"unknown dataset class {name!r}")
-    if "large" in classes and not large_seqs:
-        raise ValueError("the large class needs an input FASTA")
+    if "large" in classes:
+        if not large_seqs:
+            raise ValueError("the large class needs an input FASTA")
+        check_raw_inputs(large_seqs)
     for method in methods:
         if method not in GUIDE_METHODS:
             raise ValueError(f"unknown method {method!r}")

@@ -228,7 +228,8 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
 
     Raises FastaError on empty input, a record with an empty body, an
     illegal character or bytes that are not UTF-8 (both reported with line
-    and byte offset), or a duplicate identifier.
+    and byte offset), or a duplicate identifier. One leading byte-order mark
+    (U+FEFF) is skipped.
     """
     if isinstance(text, bytes):
         try:
@@ -236,6 +237,10 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
         except UnicodeDecodeError as err:
             line = len(re.findall(_LINE_END.encode(), text[: err.start])) + 1
             raise FastaError("input is not valid UTF-8", line, err.start) from None
+    # A leading byte-order mark is skipped, but its UTF-8 bytes still count
+    # in every byte offset, so each reported offset indexes the file.
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    text = text[len(bom):]
     if not text.strip():
         raise FastaError("empty FASTA input")
 
@@ -257,7 +262,7 @@ def parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[Sequence]:
             raise FastaError(f"record {seq_id!r} has an empty body", header_line)
         records.append(Sequence(seq_id, residues, description))
 
-    offset = 0
+    offset = len(bom.encode())
     for lineno, raw_line in enumerate(_LINE.findall(text), start=1):
         line = raw_line.rstrip("\r\n")
         if line.startswith(">"):

@@ -67,6 +67,8 @@ def char_loop_parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[S
         except UnicodeDecodeError as err:
             line = len(re.findall(_LINE_END.encode(), text[: err.start])) + 1
             raise FastaError("input is not valid UTF-8", line, err.start) from None
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    text = text[len(bom):]
     if not text.strip():
         raise FastaError("empty FASTA input")
 
@@ -84,7 +86,7 @@ def char_loop_parse_fasta(text: str | bytes, allow_gaps: bool = False) -> list[S
             raise FastaError(f"record {seq_id!r} has an empty body", header_line)
         records.append(Sequence(seq_id, "".join(body), description))
 
-    offset = 0
+    offset = len(bom.encode())
     for lineno, raw_line in enumerate(_LINE.findall(text), start=1):
         line = raw_line.rstrip("\r\n")
         if line.startswith(">"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import promsa.bench
 from helpers import SETUP1, hand_written_csv_row, newick_leaf_sets, parse_newick
-from promsa import ScoringScheme, TieBreak, align_global, generate_sequences, parse_fasta
+from promsa import ScoringScheme, Sequence, TieBreak, align_global, generate_sequences, parse_fasta
 from promsa.bench import BENCH_CSV_HEADER, BenchRecord, records_to_csv, summarize
 from promsa.cli import build_parser, main
 from promsa.progressive import GUIDE_METHODS
@@ -320,6 +320,22 @@ class TestBenchCommand:
         code = main(["bench", "--classes", "small,large", "--out", str(tmp_path / "b.csv")])
         assert code == 1
         assert "large" in capsys.readouterr().err
+
+    def test_run_bench_checks_the_large_input_before_any_run(self, no_bench_runs):
+        with pytest.raises(ValueError, match="need at least two sequences"):
+            promsa.bench.run_bench(
+                ["small", "large"], reps=1, seed=1, large_seqs=[Sequence("a", "ACGT")]
+            )
+
+    def test_bad_large_input_fails_before_any_run(self, tmp_path, capsys, no_bench_runs):
+        fasta = tmp_path / "one.fasta"
+        fasta.write_text(">a\nACGT\n")
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--classes", "small,large", "--input", str(fasta),
+                     "--out", str(out)])
+        assert code == 1
+        assert "need at least two sequences" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_bench_checks_class_names_before_any_run(self, no_bench_runs):
         with pytest.raises(ValueError, match="unknown dataset class 'tiny'"):

@@ -236,6 +236,20 @@ class TestParseFasta:
             parse_fasta(b">a\rAC\rG\xffT\r")
         assert (info.value.line, info.value.offset) == (3, 7)
 
+    @pytest.mark.parametrize("encode", [True, False], ids=["bytes", "str"])
+    def test_leading_byte_order_mark_is_skipped(self, encode):
+        def parse(text):
+            return parse_fasta(text.encode() if encode else text)
+
+        text = ">a first\nACGT\n>b\nGG\n"
+        assert parse("\ufeff" + text) == parse(text)
+        with pytest.raises(FastaError, match="empty FASTA input"):
+            parse("\ufeff")
+        data = "\ufeff>a\nACXGT\n".encode()
+        with pytest.raises(FastaError, match="illegal character 'X'") as info:
+            parse(data.decode())
+        assert info.value.offset == data.index(b"X")
+
     def test_description_kept_separate(self):
         seq = parse_fasta(">a some description here\nACGT\n")[0]
         assert seq.id == "a"
@@ -249,6 +263,10 @@ class TestParseFasta:
     @given(text=fasta_texts(), allow_gaps=st.booleans(), encode=st.booleans())
     @example(text=">a\nA\xa0_C\n", allow_gaps=False, encode=True)
     @example(text=">a caf\xe9\r\nac\x0bG\r-\xa0x\r", allow_gaps=True, encode=False)
+    @example(text="\ufeff>a\r\nAC\nG\xe9T\n", allow_gaps=False, encode=True)
+    @example(text="\ufeff>a\nAC\n>b x\nG-T\n", allow_gaps=True, encode=False)
+    @example(text="\ufeff", allow_gaps=False, encode=True)
+    @example(text="\ufeff\ufeff>a\nACGT\n", allow_gaps=False, encode=False)
     def test_agrees_with_the_character_loop(self, text, allow_gaps, encode):
         def outcome(parse):
             try:
