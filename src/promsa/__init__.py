@@ -35,7 +35,6 @@ from .pairwise import (
     build_dp_matrix,
 )
 from .profiles import (
-    ProfileMatrix,
     TieBreak,
     align_profile_to_profile,
     align_sequence_to_profile,
@@ -78,7 +77,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineError",
     "PipelineReport",
-    "ProfileMatrix",
     "ScoringScheme",
     "Sequence",
     "StageTimings",

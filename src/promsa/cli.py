@@ -195,19 +195,25 @@ def _cmd_tree(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args)
+    sizes = {"--count": args.count, "--min-len": args.min_len, "--max-len": args.max_len}
     if args.dataset_class:
+        given = [flag for flag, value in sizes.items() if value is not None]
+        if given:
+            raise ValueError(f"--class sets the sizes; drop {', '.join(given)}")
         spec = CLASSES[args.dataset_class]
         count, min_len, max_len = spec.count, spec.min_len, spec.max_len
     else:
-        if args.count is None or args.min_len is None or args.max_len is None:
+        if None in sizes.values():
             raise ValueError("provide --class or all of --count/--min-len/--max-len")
-        count, min_len, max_len = args.count, args.min_len, args.max_len
+        count, min_len, max_len = sizes.values()
     seqs = generate_sequences(count, min_len, max_len, seed)
     _write_text(args.out, write_fasta(seqs))
     return 0
 
 
 def _cmd_bench(args) -> int:
+    if args.input is not None and "large" not in args.classes:
+        raise ValueError("--input is read only for the large class; add large to --classes")
     records = run_bench(
         args.classes,
         reps=args.reps,

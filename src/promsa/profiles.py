@@ -1,15 +1,17 @@
 """Column frequency profiles, consensus extraction, and merge operations.
 
-A profile records, for every alignment column, how often each of A, C, G,
-T and the gap symbol occurs: the counts every ``Msa`` takes when it is
-built. Consensus extraction picks the most frequent symbol per column;
-ties are settled by a pluggable policy. Merging a sequence or a second
-alignment into a group goes through the group's consensus: the consensus
-is globally aligned (gap glyphs acting as an ordinary fifth letter), and
-every gap the aligner inserts into a consensus becomes a full gap column
-in the corresponding group. A merge takes its two operands whole, each an
-alignment or a lone sequence, and places each one's code block on the
-joint columns in one step, so no row is rebuilt.
+A profile is an alignment of at least two rows: its ``counts`` record, for
+every column, how often each of A, C, G, T and the gap symbol occurs, as
+taken when the ``Msa`` was built, and ``Msa.column_frequencies`` gives
+them as fractions of the depth. Consensus extraction picks the most
+frequent symbol per column; ties are settled by a pluggable policy.
+Merging a sequence or a second alignment into a group goes through the
+group's consensus: the consensus is globally aligned (gap glyphs acting as
+an ordinary fifth letter), and every gap the aligner inserts into a
+consensus becomes a full gap column in the corresponding group. A merge
+takes its two operands whole, each an alignment or a lone sequence, and
+places each one's code block on the joint columns in one step, so no row
+is rebuilt.
 """
 
 from __future__ import annotations
@@ -71,40 +73,6 @@ class TieBreak:
         return self._rng.choice(ordered)
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileMatrix:
-    """Per-column symbol counts over an alignment's rows.
-
-    ``counts`` is a read-only width x 5 int64 array whose columns follow
-    SYMBOLS (A, C, G, T, gap). Frequencies are exposed as count/depth,
-    so every value is a multiple of 1/depth and each column's frequencies
-    sum to one. Profiles compare by identity; compare ``counts`` with
-    ``np.array_equal``.
-    """
-
-    counts: np.ndarray
-    depth: int
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != len(SYMBOLS):
-            raise ValueError(f"counts must be a width x {len(SYMBOLS)} table")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-        bad = np.flatnonzero(counts.sum(axis=1) != self.depth)
-        if bad.size:
-            raise ValueError(f"column {bad[0]} counts do not total the depth")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    def column_frequencies(self, column: int) -> dict[str, float]:
-        return {
-            symbol: count / self.depth
-            for symbol, count in zip(SYMBOLS, self.counts[column].tolist())
-            if count
-        }
-
-
 def _majority(counts: np.ndarray, tie: TieBreak) -> str:
     """The most frequent symbol of each column of ``counts``; only tied
     columns are visited, in column order, so a random policy draws in the
@@ -119,15 +87,15 @@ def _majority(counts: np.ndarray, tie: TieBreak) -> str:
     return out.tobytes().decode("ascii")
 
 
-def build_profile(msa: Msa) -> ProfileMatrix:
-    """Count symbol occurrences per column; requires at least two rows."""
+def build_profile(msa: Msa) -> Msa:
+    """The profile of an alignment of at least two rows: the alignment itself."""
     if msa.depth < 2:
         raise ValueError("a profile needs at least two sequences")
-    return ProfileMatrix(msa.counts, msa.depth)
+    return msa
 
 
-def consensus(profile: ProfileMatrix, tie: TieBreak = TieBreak()) -> Sequence:
-    """Extract the per-column majority sequence from a profile.
+def consensus(profile: Msa, tie: TieBreak = TieBreak()) -> Sequence:
+    """Extract the per-column majority sequence from a profile's ``counts``.
 
     At each position the unique most frequent symbol wins; on a tie the
     tie-break policy draws from the leaders, column by column.

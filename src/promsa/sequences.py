@@ -81,13 +81,14 @@ class Msa:
 
     ``codes`` is a read-only uint8 depth x width array of the rows' ASCII
     codes, and ``ids`` and ``descriptions`` name its rows. ``counts`` is a
-    read-only width x 5 int64 array holding how often each of SYMBOLS (A,
-    C, G, T, gap, in that order) occurs in each column; it is taken in the
-    one pass that checks the codes. Invariants enforced on construction: at
-    least one row, ids and descriptions for every row of codes, only
-    SYMBOLS in the codes, and no column made up entirely of gaps. ``rows``
-    builds the rows as Sequences when first read and keeps them. Alignments
-    compare and hash by ids, descriptions and codes, and are immutable.
+    read-only width x 5 int64 array holding how often each of SYMBOLS (A, C,
+    G, T, gap, in that order) occurs in each column, so each column's counts
+    total the depth; it is taken in the one pass that checks the codes.
+    Invariants enforced on construction: at least one row, ids and
+    descriptions for every row of codes, only SYMBOLS in the codes, and no
+    column made up entirely of gaps. ``rows`` builds the rows as Sequences
+    when first read and keeps them. Alignments compare and hash by ids,
+    descriptions and codes, and are immutable.
     """
 
     def __init__(self, rows: tuple[Sequence, ...]):
@@ -171,6 +172,14 @@ class Msa:
 
     def column(self, index: int) -> str:
         return self.codes[:, index].tobytes().decode("ascii")
+
+    def column_frequencies(self, column: int) -> dict[str, float]:
+        """Each symbol present in ``column``, in SYMBOLS order, with its count / depth."""
+        return {
+            symbol: count / self.depth
+            for symbol, count in zip(SYMBOLS, self.counts[column].tolist())
+            if count
+        }
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

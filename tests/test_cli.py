@@ -337,6 +337,15 @@ class TestBenchCommand:
         assert "need at least two sequences" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_input_without_large_is_rejected_unread(self, tmp_path, capsys, no_bench_runs):
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--classes", "small", "--input", str(tmp_path / "missing.fasta"),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--input" in err and "large" in err and "missing.fasta" not in err
+        assert not out.exists()
+
     def test_run_bench_checks_class_names_before_any_run(self, no_bench_runs):
         with pytest.raises(ValueError, match="unknown dataset class 'tiny'"):
             promsa.bench.run_bench(["small", "tiny"], reps=1, seed=0)
@@ -405,8 +414,10 @@ class TestBenchCommand:
         ("seven", ["gen", "--class", "small"], "MSA_SEED must be an integer, got 'seven'"),
         (None, ["gen", "--count", "3", "--min-len", "5"],
          "provide --class or all of --count/--min-len/--max-len"),
+        (None, ["gen", "--class", "small", "--count", "3", "--max-len", "9", "--seed", "1"],
+         "--class sets the sizes; drop --count, --max-len"),
     ],
-    ids=["non-integer-env-seed", "gen-without-sizes"],
+    ids=["non-integer-env-seed", "gen-without-sizes", "gen-class-with-sizes"],
 )
 def test_command_error_names_its_cause(tmp_path, capsys, monkeypatch, env, argv, message):
     if env is None:

@@ -16,7 +16,6 @@ from helpers import (
 )
 from promsa import (
     Msa,
-    ProfileMatrix,
     ScoringScheme,
     Sequence,
     TieBreak,
@@ -29,7 +28,7 @@ from promsa import (
     sp_total_cost,
 )
 from promsa.profiles import _merge
-from promsa.sequences import GAP
+from promsa.sequences import GAP, SYMBOLS
 
 # The four-row alignment used for the worked profile example.
 PROFILE_ROWS = ("AGT_C", "AGTGC", "ATTG_", "TG_GT")
@@ -130,17 +129,16 @@ class TestBuildProfile:
         assert p.counts.shape == (5, 5) and p.counts.dtype == np.int64
         with pytest.raises(ValueError):
             p.counts[0, 0] = 9
-        with pytest.raises(ValueError, match="column 1 counts"):
-            ProfileMatrix(((1, 0, 0, 0, 0), (1, 0, 0, 0, 1)), 1)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ProfileMatrix(((2, -1, 0, 0, 0),), 1)
 
     @given(gapped_rows(min_depth=2))
     def test_counts_equal_string_oracle(self, rows):
         msa = msa_of_rows(rows)
-        assert build_profile(msa).counts.tolist() == list(map(list, string_profile_counts(msa)))
+        oracle = string_profile_counts(msa)
+        assert build_profile(msa) is msa
+        assert msa.counts.tolist() == list(map(list, oracle))
+        for col, counts in enumerate(oracle):
+            expected = [(s, n / msa.depth) for s, n in zip(SYMBOLS, counts) if n]
+            assert list(msa.column_frequencies(col).items()) == expected
 
 
 class TestConsensus:
@@ -313,9 +311,8 @@ def test_readers_take_the_counts_made_at_build(monkeypatch):
     [
         (lambda: TieBreak().choose([]), "no candidates to choose from"),
         (lambda: TieBreak().choose("XAY"), "candidates not in 'ACGT_': ['X', 'Y']"),
-        (lambda: ProfileMatrix(np.ones((2, 4)), 4), "counts must be a width x 5 table"),
     ],
-    ids=["no-candidates", "unknown-candidates", "four-columns"],
+    ids=["no-candidates", "unknown-candidates"],
 )
 def test_rejects_with_its_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
