@@ -43,12 +43,15 @@ def _positive_int(text: str) -> int:
 
 
 def _names(choices: tuple[str, ...]):
-    """Argument type: a nonempty, comma-separated list of names from ``choices``."""
+    """Argument type: a nonempty, comma-separated list of distinct names from ``choices``."""
 
     def parse(text: str) -> tuple[str, ...]:
         names = tuple(name.strip() for name in text.split(",") if name.strip())
         if not names or not set(names) <= set(choices):
             raise argparse.ArgumentTypeError(f"{text!r} is not a list of {', '.join(choices)}")
+        if len(set(names)) < len(names):
+            repeated = max(names, key=names.count)
+            raise argparse.ArgumentTypeError(f"{text!r} names {repeated!r} more than once")
         return names
 
     return parse

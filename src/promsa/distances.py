@@ -1,16 +1,20 @@
 """Jukes-Cantor evolutionary distances assembled into a distance matrix.
 
 Distances are computed from Needleman-Wunsch alignments of each distinct
-ordered pair of residue strings, whose sites are counted for many pairs at
-once by ``pairwise.batch_site_counts``: it fills the pairs its thresholds
-admit as lanes of anti-diagonals, each cell carrying the site counts of its
-traceback path, and counts the rest from each pair's move string. No grid
-is filled when any pair's grid would be over ``MAX_DP_CELLS``. Gap
-columns are excluded from the counts, and each distinct substitution
-fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
-the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps
-no saturation flag: only ``jukes_cantor``, which corrects one pair's
-counts, reports one.
+ordered pair of residue strings. The stage numbers the distinct strings
+and the distinct ordered keys, and passes the strings with two index
+arrays, a key's first and second string, to
+``pairwise.batch_site_counts``, which counts the sites of every key at
+once: it fills the keys its thresholds admit as lanes of anti-diagonals,
+gathering each lane's code points by index from one concatenation of the
+strings, each cell carrying the site counts of its traceback path, and
+counts the rest from each pair's move string. No grid is filled when any
+pair's grid would be over ``MAX_DP_CELLS``. Gap columns are excluded from
+the counts, and each distinct substitution fraction feeds the
+Jukes-Cantor correction once. Fractions at or beyond the model's 3/4
+ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps no saturation
+flag: only ``jukes_cantor``, which corrects one pair's counts, reports
+one.
 """
 
 from __future__ import annotations
@@ -167,10 +171,9 @@ def pairwise_distance_matrix(
     ids = check_raw_inputs(seqs)
     n = len(seqs)
     residues = [seq.residues for seq in seqs]
-    # Number the distinct residue strings, then the distinct ordered keys.
-    string_ids: dict[str, int] = {}
-    string_of = np.array([string_ids.setdefault(r, len(string_ids)) for r in residues])
-    strings = list(string_ids)
+    # Number the distinct residue strings (an object array, so no string is
+    # padded to the longest), then the distinct ordered keys.
+    strings, string_of = np.unique(np.array(residues, dtype=object), return_inverse=True)
     rows, cols = np.triu_indices(n, 1)  # every pair, in row order
     keys, first, key_of_pair = np.unique(
         string_of[rows] * len(strings) + string_of[cols], return_index=True, return_inverse=True
@@ -180,9 +183,7 @@ def pairwise_distance_matrix(
     # No grid is filled while any key is over the budget.
     failed = (lengths[key_a] + 1) * (lengths[key_b] + 1) > MAX_DP_CELLS
     if not failed.any():
-        matches, comparable = batch_site_counts(
-            [(strings[a], strings[b]) for a, b in zip(key_a.tolist(), key_b.tolist())], s
-        )
+        matches, comparable = batch_site_counts(strings.tolist(), key_a, key_b, s)
         failed = comparable == 0
     if failed.any():
         k = first[failed].min()  # the first pair of a failed key, in row order
@@ -192,11 +193,10 @@ def pairwise_distance_matrix(
             raise ValueError(_NO_SITES)  # within the budget, so it was aligned
         except ValueError as err:
             raise ValueError(f"pair ({ids[i]}, {ids[j]}): {err}") from err
-    # Keys share fractions: a many_taxa job's 1,450-2,120 keys hold 13-20 distinct
-    # ones, so a dict corrects each distinct fraction once.
-    fractions = ((comparable - matches) / comparable).tolist()
-    distance = {p: _jukes_cantor_value(p) for p in set(fractions)}
-    distances = np.array([distance[p] for p in fractions])
+    # Keys share fractions: a many_taxa job's 1,450-2,120 keys hold 13-20
+    # distinct ones, so each distinct fraction is corrected once.
+    fractions, fraction_of_key = np.unique((comparable - matches) / comparable, return_inverse=True)
+    distances = np.array([_jukes_cantor_value(p) for p in fractions.tolist()])[fraction_of_key]
     values = np.zeros((n, n))
     values[rows, cols] = values[cols, rows] = distances[key_of_pair]
     return DistanceMatrix(tuple(ids), values)

@@ -58,6 +58,9 @@ _VECTOR_MIN_WIDTH = 32
 # whose lanes times the longer padded side stay within _LANE_CELLS; the kernel
 # holds 28 bytes per unit, 0.93 MB at most (48 and 1.59 MB on int64 keys), and
 # a whole family (16 x 200 nt) or many_taxa (100 x 12 nt) job is one chunk.
+# Of those bytes, 8 are the chunk's code blocks, gathered from one code array
+# of the distinct strings; the gathers' index blocks, 8 bytes a unit, are
+# freed before the fill. So no buffer grows with distinct strings x longest.
 # Caps of 2**14, 2**15 and 2**16 gave the family distance stage 22.3, 19.1
 # and 18.7 ms, and 20 random sequences of 40-300 nt 36.9, 34.0 and 41.6 ms
 # (int64 keys). Bounding the longer side, not m + 1 alone, keeps a few lanes
@@ -324,27 +327,32 @@ def site_counts(a: str, b: str, s: ScoringScheme) -> tuple[int, int]:
 
 
 def batch_site_counts(
-    pairs: list[tuple[str, str]], s: ScoringScheme
+    strings: list[str], key_a: np.ndarray, key_b: np.ndarray, s: ScoringScheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(matches, comparable) arrays, entry k equal to ``site_counts(*pairs[k], s)``.
+    """(matches, comparable) arrays, entry k equal to
+    ``site_counts(strings[key_a[k]], strings[key_b[k]], s)``.
 
-    From ``_LANE_MIN`` pairs up, every pair of at most ``_LANE_KEY_CELLS``
-    grid cells is a lane: ``_chunks`` cuts these into chunks, each filled
-    by anti-diagonals across its lanes by ``_lane_counts``. The other pairs
-    go one by one through ``site_counts``.
+    Each key names its pair by two indices into ``strings``, so a string
+    shared by many keys is held, measured and coded once. From
+    ``_LANE_MIN`` keys up, every pair of at most ``_LANE_KEY_CELLS`` grid
+    cells is a lane: ``_chunks`` cuts these into chunks, each filled by
+    anti-diagonals across its lanes by ``_lane_counts``, which gathers its
+    lanes' code points from one concatenation of ``strings``. The other
+    pairs go one by one through ``site_counts``.
     """
-    len_a = np.array([len(a) for a, _ in pairs], dtype=np.int64)
-    len_b = np.array([len(b) for _, b in pairs], dtype=np.int64)
-    lane = (len(pairs) >= _LANE_MIN) & ((len_a + 1) * (len_b + 1) <= _LANE_KEY_CELLS)
-    matches = np.zeros(len(pairs), dtype=np.int64)
-    comparable = np.zeros(len(pairs), dtype=np.int64)
+    lengths = np.array([len(x) for x in strings], dtype=np.int64)
+    len_a, len_b = lengths[key_a], lengths[key_b]
+    lane = (len(key_a) >= _LANE_MIN) & ((len_a + 1) * (len_b + 1) <= _LANE_KEY_CELLS)
+    counts = np.zeros((2, len(key_a)), dtype=np.int64)  # matches, then comparable
     for k in np.flatnonzero(~lane).tolist():
-        matches[k], comparable[k] = site_counts(*pairs[k], s)
+        counts[:, k] = site_counts(strings[key_a[k]], strings[key_b[k]], s)
     keys = np.flatnonzero(lane)
+    codes = _codes("".join(strings))
+    bounds = np.concatenate(([0], np.cumsum(lengths)))  # string k is codes[bounds[k] : bounds[k+1]]
     for chunk in _chunks(len_a[keys], len_b[keys]):
         chunk = keys[chunk]
-        matches[chunk], comparable[chunk] = _lane_counts([pairs[k] for k in chunk.tolist()], s)
-    return matches, comparable
+        counts[:, chunk] = _lane_counts(codes, bounds, key_a[chunk], key_b[chunk], s)
+    return counts[0], counts[1]
 
 
 def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> list[np.ndarray]:
@@ -353,40 +361,48 @@ def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> lis
     (a pair over it is a chunk alone). Where the next ``fit`` pairs would fit,
     the r pairs left are shared evenly among ceil(r / fit) chunks, so a run of
     equal lengths is cut into even chunks and none is left short. Unpadded
-    one-shape chunks made mixed-length jobs 4x slower."""
+    one-shape chunks made mixed-length jobs 4x slower. Every side is at least
+    1, so no chunk holds more than ``_LANE_CELLS`` pairs, and each cut looks
+    that far ahead only: the chunker is linear in the pairs."""
     order = np.lexsort((len_b, len_a))
     sides = np.maximum(len_a, len_b)[order] + 1
     chunks = []
     start = 0
     while start < len(order):
         left = len(order) - start
-        side = np.maximum.accumulate(sides[start:])
-        fit = max(1, int(np.count_nonzero(side * np.arange(1, left + 1) <= _LANE_CELLS)))
+        side = np.maximum.accumulate(sides[start : start + _LANE_CELLS])
+        fit = max(1, int(np.count_nonzero(side * np.arange(1, len(side) + 1) <= _LANE_CELLS)))
         size = -(-left // -(-left // fit))
         chunks.append(order[start : start + size])
         start += size
     return chunks
 
 
-def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.ndarray, np.ndarray]:
-    """``site_counts`` of every pair, filled by anti-diagonals d = i + j across lanes.
+def _lane_counts(
+    codes: np.ndarray, bounds: np.ndarray, key_a: np.ndarray, key_b: np.ndarray, s: ScoringScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """``site_counts`` of every key, filled by anti-diagonals d = i + j across lanes.
 
-    Each pair is a lane: its ``a`` reversed and padded at the end, its ``b``
-    padded at the front, so one diagonal's cells compare two contiguous
-    slices, and padding never reaches a lane's own cells. Three rolling
-    (m+1) x lanes diagonals, indexed by i, hold a packed key a cell (see
+    String k is ``codes[bounds[k]:bounds[k + 1]]``, and key k pairs strings
+    ``key_a[k]`` and ``key_b[k]``. Each key is a lane: its ``a`` reversed
+    and its ``b`` right-aligned, gathered from ``codes`` by offset from
+    each string's end, so one diagonal's cells compare two contiguous
+    slices. A lane's rows past its own strings gather other code points
+    (clipped to the array), which never reach its own cells: each cell
+    depends only on cells above and to its left. Three rolling (m+1) x
+    lanes diagonals, indexed by i, hold a packed key a cell (see
     ``_COUNT_BITS``): the largest of D, U and L with preference bits 2, 1
     and 0, cleared afterwards, so a tie on F goes D > U > L as in
     ``align_strings``' traceback, and the counts are those along its path.
     Borders are never written and stay zero. A lane's counts are read at
     row len(a) of diagonal len(a) + len(b).
     """
-    lanes = len(pairs)
-    len_a = np.array([len(a) for a, _ in pairs])
-    len_b = np.array([len(b) for _, b in pairs])
+    lanes = len(key_a)
+    end_a, end_b = bounds[key_a + 1], bounds[key_b + 1]
+    len_a, len_b = end_a - bounds[key_a], end_b - bounds[key_b]
     m, n = int(len_a.max()), int(len_b.max())
-    codes_a = _lane_codes([a[::-1].ljust(m, "\0") for a, _ in pairs], m)
-    codes_b = _lane_codes([b.rjust(n, "\0") for _, b in pairs], n)
+    codes_a = codes.take(end_a - 1 - np.arange(m)[:, None], mode="clip")  # a[len(a) - 1 - i]
+    codes_b = codes.take(end_b - n + np.arange(n)[:, None], mode="clip")  # b[j - (n - len(b))]
     diag_match, diag_mismatch = _diag_steps(s)
     count = 1 << _COUNT_BITS
     mismatch_key = (diag_mismatch << _SCORE_SHIFT) + (2 << _PREF_SHIFT) + count
@@ -416,11 +432,6 @@ def _lane_counts(pairs: list[tuple[str, str]], s: ScoringScheme) -> tuple[np.nda
             corners[done] = cur[len_a[done], done]
         before, last, cur = last, cur, before
     return corners & (count - 1), (corners >> _COUNT_BITS) & (count - 1)
-
-
-def _lane_codes(strings: list[str], width: int) -> np.ndarray:
-    """width x lanes code points of strings padded to ``width``."""
-    return np.ascontiguousarray(_codes("".join(strings)).reshape(len(strings), width).T)
 
 
 def align_global(

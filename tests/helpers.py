@@ -1,8 +1,9 @@
 """Shared test oracles: the character-loop FASTA reader, exhaustive
 alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
-align-every-pair distance loop, the whole-grid and rolling-row lock-step
-lane counts, the column-loop profile, consensus and pair tally, the
+align-every-pair distance loop, the keyed form of a pair list, the
+chunker that rescans every pair left, the whole-grid and rolling-row
+lock-step lane counts, the column-loop profile, consensus and pair tally, the
 merge that rebuilds every row and the merge stage over rows built on it,
 the all-gap column scan, row-pair
 sum-of-pairs loops, the pair-by-pair guide-tree join scan, the masked
@@ -12,8 +13,9 @@ random tree/matrix/merge-log generators, and the hand-written bench CSV
 row. Everything here is independent
 of the code paths under test, except that the rebuilding merge aligns
 with the shared ``align_strings``, the merge stage over rows joins two
-leaves with the shared ``align_global``, and the distance loop checks
-cell budgets with the shared ``check_dp_cells``."""
+leaves with the shared ``align_global``, the distance loop checks
+cell budgets with the shared ``check_dp_cells``, and ``keyed_lane_counts``
+is an adapter that calls the shared ``_lane_counts``."""
 
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from promsa import (
 )
 from promsa.bench import BenchRecord
 from promsa.guide_tree import BuildStats, GuideTree, Merge
-from promsa.pairwise import DIAG, LEFT, UP, check_dp_cells, expand_by_moves
+from promsa.pairwise import DIAG, LEFT, UP, _lane_counts, check_dp_cells, expand_by_moves
 from promsa.sequences import _LINE, _LINE_END, ALPHABET, SYMBOLS
 
 # The seven short test sequences used throughout (degapped).
@@ -328,6 +330,44 @@ def pair_loop_distance_matrix(seqs: list[Sequence], s: ScoringScheme) -> Distanc
                 raise ValueError(f"pair ({seqs[i].id}, {seqs[j].id}): {err}") from err
             values[i, j] = values[j, i] = d
     return DistanceMatrix(tuple(seq.id for seq in seqs), values)
+
+
+def keyed(pairs: list[tuple[str, str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A list of (a, b) pairs in the distance stage's keyed form (strings,
+    key_a, key_b): the strings are the pairs flattened, so key_a holds the
+    even indices and key_b the odd ones, and no string is shared."""
+    strings = [x for pair in pairs for x in pair]
+    index = np.arange(len(strings))
+    return strings, index[0::2], index[1::2]
+
+
+def keyed_lane_counts(
+    pairs: list[tuple[str, str]], s: ScoringScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_lane_counts`` of a list of (a, b) pairs, one lane each, through
+    ``keyed``: the strings' code points are concatenated, with their bounds."""
+    strings, key_a, key_b = keyed(pairs)
+    codes = np.array([ord(c) for c in "".join(strings)], dtype=np.uint32)
+    bounds = np.cumsum([0, *map(len, strings)])
+    return _lane_counts(codes, bounds, key_a, key_b, s)
+
+
+def rescanning_chunks(len_a: list[int], len_b: list[int], cap: int) -> list[np.ndarray]:
+    """Pair indices sorted by lengths and cut into chunks of lanes times the
+    longer padded side within ``cap``, shared evenly, each cut taking a
+    running maximum over every pair left, however many."""
+    order = np.lexsort((len_b, len_a))
+    sides = np.maximum(len_a, len_b)[order] + 1
+    chunks = []
+    start = 0
+    while start < len(order):
+        left = len(order) - start
+        side = np.maximum.accumulate(sides[start:])
+        fit = max(1, int(np.count_nonzero(side * np.arange(1, left + 1) <= cap)))
+        size = -(-left // -(-left // fit))
+        chunks.append(order[start : start + size])
+        start += size
+    return chunks
 
 
 def reversed_lane_codes(strings: list[str], width: int) -> np.ndarray:

@@ -295,7 +295,14 @@ class TestBenchCommand:
         assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize(
-        ("flag", "value"), [("--methods", "foo"), ("--classes", "foo"), ("--classes", ",")]
+        ("flag", "value"),
+        [
+            ("--methods", "foo"),
+            ("--classes", "foo"),
+            ("--classes", ","),
+            ("--classes", "small,small"),
+            ("--methods", "nj,nj"),
+        ],
     )
     def test_bad_name_list_is_usage_error(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -303,6 +310,12 @@ class TestBenchCommand:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    def test_repeated_name_is_named(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--methods", "upgma,nj,upgma", "--out", str(tmp_path / "b.csv")])
+        assert exc.value.code == 2
+        assert "'upgma' more than once" in capsys.readouterr().err
 
     def test_large_class_requires_input(self, tmp_path, capsys):
         code = main(["bench", "--classes", "large", "--out", str(tmp_path / "b.csv")])

@@ -6,15 +6,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import promsa.distances
 import promsa.pairwise
 from helpers import (
     full_grid_lane_counts,
+    keyed,
+    keyed_lane_counts,
     pair_loop_distance_matrix,
     random_dna,
+    rescanning_chunks,
     rolling_row_lane_counts,
 )
 from promsa import (
@@ -39,7 +42,6 @@ from promsa.pairwise import (
     _chunks,
     _diag_steps,
     _grid_dtype,
-    _lane_counts,
     batch_site_counts,
     site_counts,
 )
@@ -107,6 +109,11 @@ class TestSiteCounts:
 ALPHABETS = ("ACGT", "AB", "é\u0416\U0001f600\U00010348")
 
 
+def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
+    """Strings over ``alphabet`` whose length is drawn evenly from 0 to ``longest``."""
+    return st.integers(0, longest).flatmap(lambda k: st.text(alphabet, min_size=k, max_size=k))
+
+
 class TestBatchSiteCounts:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @given(
@@ -129,7 +136,7 @@ class TestBatchSiteCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(promsa.pairwise, "_LANE_CELLS", cap)
             mp.setattr(promsa.pairwise, "_LANE_MIN", lane_min)
-            matches, comparable = batch_site_counts(pairs, s)
+            matches, comparable = batch_site_counts(*keyed(pairs), s)
         assert list(zip(matches.tolist(), comparable.tolist())) == [
             site_counts(a, b, s) for a, b in pairs
         ]
@@ -144,10 +151,10 @@ class TestBatchSiteCounts:
         monkeypatch.setattr(promsa.pairwise, "align_strings", counting_align)
         rng = random.Random(11)
         pairs = [(random_dna(rng, 8, 16), random_dna(rng, 8, 16)) for _ in range(_LANE_MIN)]
-        batch_site_counts(pairs[:-1], ScoringScheme())
+        batch_site_counts(*keyed(pairs[:-1]), ScoringScheme())
         assert len(calls) == _LANE_MIN - 1
         calls.clear()
-        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        matches, comparable = batch_site_counts(*keyed(pairs), ScoringScheme())
         assert calls == []
         monkeypatch.undo()
         assert list(zip(matches.tolist(), comparable.tolist())) == [
@@ -158,6 +165,8 @@ class TestBatchSiteCounts:
         st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=80),
         st.sampled_from([1, 200, 3000, 2**16]),
     )
+    # Sides of 1 fill a chunk with exactly cap keys, the most a cut looks ahead.
+    @example([(0, 0)] * 64, 64)
     def test_chunks_partition_the_keys_within_the_lane_cells(self, lengths, cap):
         len_a, len_b = [m for m, _ in lengths], [n for _, n in lengths]
         with pytest.MonkeyPatch.context() as mp:
@@ -168,11 +177,34 @@ class TestBatchSiteCounts:
             if len(chunk) > 1:
                 m, n = max(len_a[k] for k in chunk), max(len_b[k] for k in chunk)
                 assert len(chunk) * (max(m, n) + 1) <= cap
+        # Looking at most cap keys ahead cuts where rescanning every key left does.
+        oracle = rescanning_chunks(len_a, len_b, cap)
+        assert [chunk.tolist() for chunk in chunks] == [chunk.tolist() for chunk in oracle]
 
-
-def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
-    """Strings over ``alphabet`` whose length is drawn evenly from 0 to ``longest``."""
-    return st.integers(0, longest).flatmap(lambda k: st.text(alphabet, min_size=k, max_size=k))
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda alphabet: st.lists(_strings(alphabet, 40), min_size=1, max_size=6)
+        ),
+        st.data(),
+        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 1, -1), (0, -5, 0)]),
+        st.sampled_from([1, _LANE_MIN]),
+    )
+    def test_keys_that_share_strings_count_as_site_counts(self, pool, data, scores, lane_min):
+        # Each drawn index pair (i, j) also gives (j, i) and (i, i), so keys
+        # gather one string for many lanes, both orders and self-pairs.
+        index = st.integers(0, len(pool) - 1)
+        drawn = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=26))
+        keys = [key for i, j in drawn for key in ((i, j), (j, i), (i, i))]
+        key_a, key_b = (np.array(side) for side in zip(*keys))
+        s = ScoringScheme(*scores)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(promsa.pairwise, "_LANE_MIN", lane_min)
+            matches, comparable = batch_site_counts(pool, key_a, key_b, s)
+        assert list(zip(matches.tolist(), comparable.tolist())) == [
+            site_counts(pool[i], pool[j], s) for i, j in keys
+        ]
 
 
 @pytest.fixture
@@ -205,7 +237,7 @@ class TestLaneCounts:
     )
     def test_equals_full_grid_oracle_and_site_counts(self, pairs, scores):
         s = ScoringScheme(*scores)
-        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        counts = list(zip(*(x.tolist() for x in keyed_lane_counts(pairs, s))))
         assert counts == list(zip(*(x.tolist() for x in full_grid_lane_counts(pairs, s))))
         assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
         assert counts == [site_counts(a, b, s) for a, b in pairs]
@@ -243,7 +275,7 @@ class TestLaneCounts:
     )
     def test_packed_keys_hold_at_the_edges(self, pairs, scores):
         s = ScoringScheme(*scores)
-        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        counts = list(zip(*(x.tolist() for x in keyed_lane_counts(pairs, s))))
         assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
         assert counts == [site_counts(a, b, s) for a, b in pairs]
 
@@ -298,7 +330,7 @@ class TestLaneCounts:
     )
     def test_keys_on_both_sides_of_the_int32_limit(self, pairs, scores):
         s = ScoringScheme(*scores)
-        counts = list(zip(*(x.tolist() for x in _lane_counts(pairs, s))))
+        counts = list(zip(*(x.tolist() for x in keyed_lane_counts(pairs, s))))
         assert counts == list(zip(*(x.tolist() for x in rolling_row_lane_counts(pairs, s))))
         assert counts == [site_counts(a, b, s) for a, b in pairs]
 
@@ -312,9 +344,9 @@ class TestLaneCounts:
         s = ScoringScheme()
         m, n = max(len(a) for a, _ in pairs), max(len(b) for _, b in pairs)
         assert _grid_dtype(m, n, *_diag_steps(s), _SCORE_SHIFT) is np.int32
-        narrow = _lane_counts(pairs, s)
+        narrow = keyed_lane_counts(pairs, s)
         monkeypatch.setattr(promsa.pairwise, "_grid_dtype", lambda *args: np.int64)
-        wide = _lane_counts(pairs, s)
+        wide = keyed_lane_counts(pairs, s)
         assert all(map(np.array_equal, narrow, wide))
         assert 0 < narrow[0].min() and narrow[0].max() < narrow[1].max()
 
@@ -331,7 +363,7 @@ class TestLaneCounts:
         assert len(pairs) >= _LANE_MIN
         sizes = [len(chunk) for chunk in _chunks([12] * len(pairs), [12] * len(pairs))]
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= lanes
-        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        matches, comparable = batch_site_counts(*keyed(pairs), ScoringScheme())
         assert align_calls == []
         monkeypatch.undo()
         assert list(zip(matches.tolist(), comparable.tolist())) == [
@@ -342,7 +374,7 @@ class TestLaneCounts:
         monkeypatch.setattr(promsa.pairwise, "_LANE_KEY_CELLS", 13 * 13)
         rng = random.Random(14)
         pairs = [(random_dna(rng, 12, 12), random_dna(rng, 11, 13)) for _ in range(_LANE_MIN)]
-        matches, comparable = batch_site_counts(pairs, ScoringScheme())
+        matches, comparable = batch_site_counts(*keyed(pairs), ScoringScheme())
         wide = [(a, b) for a, b in pairs if (len(a) + 1) * (len(b) + 1) > 13 * 13]
         assert wide and sorted(align_calls) == sorted(wide)
         monkeypatch.undo()

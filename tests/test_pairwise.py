@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_score,
+    keyed,
     loop_expand_by_moves,
     random_dna,
     scalar_align_strings,
@@ -360,7 +361,7 @@ class TestGridDtype:
         s = ScoringScheme(0, 0, 0)
         rng = random.Random(0)
         pairs = [(random_dna(rng, 1, 30), random_dna(rng, 1, 30)) for _ in range(_LANE_MIN + 6)]
-        matches, comparable = batch_site_counts(pairs, s)
+        matches, comparable = batch_site_counts(*keyed(pairs), s)
         assert list(zip(matches.tolist(), comparable.tolist())) == [
             site_counts(a, b, s) for a, b in pairs
         ]

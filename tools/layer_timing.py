@@ -1,10 +1,12 @@
-"""Print the guide-tree build time and the DP kernel's time and memory against n.
+"""Print the guide-tree build time, the DP kernel's time and memory, and the
+distance stage's time and memory against n.
 
 Usage: python tools/layer_timing.py
 
-Every cell of both tables is timed best of five calls, taken in five rounds
-over every cell of its table. The script prints two Markdown tables, so the
-tree and kernel layers' cost can be compared across commits on one machine:
+Every cell of the three tables is timed best of five calls, taken in five
+rounds over every cell of its table. The script prints three Markdown
+tables, so the tree, kernel and distance layers' cost can be compared
+across commits on one machine:
 
 - Guide tree: for each n in 50, 100, 200, 400 and 800, n seeded random
   points in the unit cube give the distance matrix (their Euclidean
@@ -17,6 +19,12 @@ tree and kernel layers' cost can be compared across commits on one machine:
   one more call outside the timed ones. It compares the kernel layer alone,
   which the benchmark's per-layer cells/s cannot: it counts memoized calls
   as fills.
+- Distance stage: for each n in 250, 500, 1000 and 2000,
+  ``pairwise_distance_matrix`` is timed on n seeded random 12-nt DNA
+  sequences under the default scores, in s. The table also gives its
+  bytes per pair, n(n-1)/2 of them: the rise of ``ru_maxrss`` over one
+  call in a child process of its own, one child per n, run one at a time.
+  No benchmark workload has more than 100 taxa.
 
 The script takes no options and writes no file.
 """
@@ -24,6 +32,8 @@ The script takes no options and writes no file.
 from __future__ import annotations
 
 import random
+import resource
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -34,6 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TREE_SIZES = (50, 100, 200, 400, 800)
 KERNEL_SIZES = (100, 200, 400, 800, 1600)
+DISTANCE_SIZES = (250, 500, 1000, 2000)
 REPEATS = 5
 
 
@@ -123,9 +134,60 @@ def kernel_timing() -> str:
                  KERNEL_SIZES, rows)
 
 
+def dna_set(n: int) -> list:
+    """n random 12-nt DNA ``Sequence``s, seeded by n."""
+    from promsa import Sequence
+
+    rng = random.Random(n)
+    return [Sequence(f"s{i}", "".join(rng.choices("ACGT", k=12))) for i in range(n)]
+
+
+def distance_rise(n: int) -> int:
+    """The bytes ``ru_maxrss`` rises by over one distance stage on ``dna_set(n)``
+    in this process; Linux gives ``ru_maxrss`` in KiB."""
+    from promsa import pairwise_distance_matrix
+
+    seqs = dna_set(n)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    pairwise_distance_matrix(seqs)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+
+
+# A child process runs distance_rise(n) alone, so no other call's peak hides its own.
+CHILD = (
+    "import sys; sys.path[:0] = sys.argv[1:3]; import layer_timing as t; "
+    "print(t.distance_rise(int(sys.argv[3])))"
+)
+
+
+def distance_timing() -> str:
+    """The distance-stage table; ``promsa`` must be importable."""
+    from promsa import pairwise_distance_matrix
+
+    paths = [str(ROOT / "src"), str(ROOT / "tools")]
+    # Before this process builds any input: see main.
+    rises = {
+        n: int(subprocess.run([sys.executable, "-c", CHILD, *paths, str(n)], check=True,
+                              capture_output=True, text=True).stdout)
+        for n in DISTANCE_SIZES
+    }
+    sets = {n: dna_set(n) for n in DISTANCE_SIZES}
+    best = best_ns(DISTANCE_SIZES, lambda n: pairwise_distance_matrix(sets[n]))
+    rows = {
+        f"best of {REPEATS} (s)": [f"{best[n] / 1e9:,.2f}" for n in DISTANCE_SIZES],
+        "bytes/pair": [f"{rises[n] / (n * (n - 1) // 2):,.0f}" for n in DISTANCE_SIZES],
+    }
+    return table("Distance stage, `pairwise_distance_matrix` on n seeded random 12-nt DNA "
+                 "sequences", DISTANCE_SIZES, rows)
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    print(tree_timing(), kernel_timing(), sep="\n\n")
+    # Linux starts a child's ru_maxrss at the peak RSS of the process that
+    # started it, so the distance table's children run before the other
+    # tables make this process large; started after them, they read 0.
+    distance = distance_timing()
+    print(tree_timing(), kernel_timing(), distance, sep="\n\n")
     return 0
 
 
