@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from statistics import median_low
 
 from .datasets import CLASSES, generate_sequences
+from .distances import check_taxa
 from .pairwise import ScoringScheme
 from .progressive import GUIDE_METHODS, PipelineConfig, PipelineReport, progressive_align
 from .sequences import Sequence, check_raw_inputs
@@ -78,6 +79,7 @@ def run_bench(
         if not large_seqs:
             raise ValueError("the large class needs an input FASTA")
         check_raw_inputs(large_seqs)
+        check_taxa(len(large_seqs))
     for method in methods:
         if method not in GUIDE_METHODS:
             raise ValueError(f"unknown method {method!r}")

@@ -8,10 +8,11 @@ arrays, a key's first and second string, to
 once: it fills the keys its thresholds admit as lanes of anti-diagonals,
 gathering each lane's code points by index from one concatenation of the
 strings, each cell carrying the site counts of its traceback path, and
-counts the rest from each pair's move string. No grid is filled when any
-pair's grid would be over ``MAX_DP_CELLS``. Gap columns are excluded from
-the counts, and each distinct substitution fraction feeds the
-Jukes-Cantor correction once. Fractions at or beyond the model's 3/4
+counts the rest from each pair's move string. No pair is formed when the
+sequences are too many for ``MAX_DISTANCE_BYTES``, and no grid is filled
+when any pair's grid would be over ``MAX_DP_CELLS``. Gap columns are
+excluded from the counts, and each distinct substitution fraction feeds
+the Jukes-Cantor correction once. Fractions at or beyond the model's 3/4
 ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps no saturation
 flag: only ``jukes_cantor``, which corrects one pair's counts, reports
 one.
@@ -40,6 +41,15 @@ from .pairwise import align_global
 from .sequences import GAP, Sequence, check_raw_inputs
 
 DEFAULT_D_MAX = 10.0
+
+# check_taxa keeps the stage's peak within MAX_DISTANCE_BYTES, as MAX_DP_CELLS
+# bounds one grid. The peak grows with the n(n-1)/2 pairs: 146 bytes a pair
+# is the ru_maxrss rise of one stage on 2,000 random 12-nt sequences
+# (tools/layer_timing.py; 2-core x86, Python 3.11, numpy 2.4), whose
+# per-pair arrays do not grow with the sequences' length. 2 GiB admits
+# 5,424 sequences.
+MAX_DISTANCE_BYTES = 2**31
+_PAIR_BYTES = 146
 
 SATURATION_P = 0.75
 
@@ -150,6 +160,17 @@ class DistanceMatrix:
         return out.getvalue()
 
 
+def check_taxa(n: int) -> None:
+    """Raise ValueError when the distance stage over n sequences would hold
+    more than ``MAX_DISTANCE_BYTES``, judged from n alone."""
+    need = n * (n - 1) // 2 * _PAIR_BYTES
+    if need > MAX_DISTANCE_BYTES:
+        raise ValueError(
+            f"{n} sequences need about {need} bytes in the distance stage, "
+            f"over the budget of {MAX_DISTANCE_BYTES}"
+        )
+
+
 def pairwise_distance_matrix(
     seqs: list[Sequence] | tuple[Sequence, ...],
     s: ScoringScheme = ScoringScheme(),
@@ -163,13 +184,16 @@ def pairwise_distance_matrix(
     counted together by ``batch_site_counts``, whose docstring gives the
     thresholds for filling them by anti-diagonals across lanes.
 
-    Every pair is checked against ``MAX_DP_CELLS`` before any grid is
-    filled: if any is over, the first such pair in row order is named and
-    nothing is aligned. Otherwise the error names the first pair in row
-    order whose alignment has no gap-free column.
+    The sequence count is checked against ``MAX_DISTANCE_BYTES`` before
+    any array of n x n size is made. Every pair is checked against
+    ``MAX_DP_CELLS`` before any grid is filled: if any is over, the first
+    such pair in row order is named and nothing is aligned. Otherwise the
+    error names the first pair in row order whose alignment has no gap-free
+    column.
     """
     ids = check_raw_inputs(seqs)
     n = len(seqs)
+    check_taxa(n)
     residues = [seq.residues for seq in seqs]
     # Number the distinct residue strings (an object array, so no string is
     # padded to the longest), then the distinct ordered keys.

@@ -1,8 +1,12 @@
 """Guide trees from a distance matrix: UPGMA and neighbor-joining.
 
-Both builders work on the table of live clusters, which shrinks by one row
-and column at each join, and record every join in a merge log that
-downstream progressive merging replays. The merge log is the tree:
+Both builders work on one (n+1)-square table per build, whose top-left
+k x k block is the table of the k live clusters, in ascending id order. A
+join writes the new cluster's distances into the row and column just past
+the block, then closes the two joined rows and columns by shifting the
+later ones up and left, so the block shrinks by one and the new cluster
+comes last; no join allocates a table. Every join is recorded in a merge
+log that downstream progressive merging replays. The merge log is the tree:
 serialization and path lengths loop over it, so depth sets no recursion
 limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
 and each new cluster receives the next free index. Each join is the first
@@ -56,36 +60,50 @@ def _closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
     of the k x k ``scores``, whose diagonal and lower triangle read +inf,
     or which is symmetric under == (so +0.0 and -0.0 tie) with +inf on its
     diagonal: a minimum below the diagonal then comes after its mirror. So
-    (row, col) lies above it, and a -0.0 keeps its sign. Live ids ascend
-    (removals keep order, each new id is the largest), so among tied minima
-    this is the smallest (i, j) id pair. A non-finite minimum is an error."""
-    row, col = divmod(int(np.argmin(scores)), len(scores))
+    (row, col) lies above it, and a -0.0 keeps its sign. ``scores`` may also
+    be k whole rows of a wider table that reads +inf right of the k x k
+    block, whose first minimum is the block's. Live ids ascend (removals
+    keep order, each new id is the largest), so among tied minima this is
+    the smallest (i, j) id pair. A non-finite minimum is an error."""
+    row, col = divmod(int(np.argmin(scores)), scores.shape[1])
     value = float(scores[row, col])
     if not math.isfinite(value):
         raise ValueError("distance table contains non-finite values")
     return row, col, value
 
 
+def _table_with_spare(m: DistanceMatrix) -> np.ndarray:
+    """An (n+1)-square table whose n-square block is ``m``; the spare row
+    and column take each new cluster."""
+    n = m.size
+    table = np.empty((n + 1, n + 1))
+    table[:n, :n] = m.values
+    return table
+
+
 def _join(
-    table: np.ndarray, live: list[int], pi: int, pj: int, new: int, update, diagonal: float
-) -> np.ndarray:
-    """Join the live clusters at table positions pi < pj into ``new``: the
-    live table without their rows and columns, plus a last row and column
-    holding ``update(row pi, row pj)`` over the clusters kept and
-    ``diagonal`` where they meet. ``live`` drops both and gains ``new``, the
-    largest id so far, so it stays ascending. The table is a fresh C-ordered
-    array, as row sums round by memory layout; at k <= 100 two take() calls
-    were no faster than its two boolean gathers, and np.ix_ was slower."""
-    keep = np.ones(len(live), dtype=bool)
-    keep[pi] = keep[pj] = False
-    k = len(live) - 1
-    out = np.empty((k, k))
-    out[:-1, :-1] = table[keep][:, keep]
-    out[-1, :-1] = out[:-1, -1] = update(table[pi, keep], table[pj, keep])
-    out[-1, -1] = diagonal
+    table: np.ndarray, live: list[int], pi: int, pj: int, new: int, row: np.ndarray, diagonal: float
+) -> None:
+    """Join the live clusters at positions pi < pj of the k x k live block
+    into ``new``: its distances ``row`` (length k; the entries at pi and pj
+    are dropped) fill row and column k and ``diagonal`` the rest of row k,
+    then the rows and columns after pi and after pj shift up and left over
+    them. The block left is (k-1)-square and keeps the live ids ascending,
+    since ``new``, the largest id so far, comes last. Rows move whole, as
+    one flat run each, which numpy copies in place; it copies an
+    overlapping block of columns before it writes, so every shift reads
+    the values from before it."""
+    k = len(live)
+    table[k, :k] = table[:k, k] = row
+    table[k, k:] = diagonal
+    width = table.shape[1]
+    flat = table.reshape(-1)
+    flat[pi * width : (pj - 1) * width] = flat[(pi + 1) * width : pj * width]
+    flat[(pj - 1) * width : (k - 1) * width] = flat[(pj + 1) * width : (k + 1) * width]
+    table[: k - 1, pi : pj - 1] = table[: k - 1, pi + 1 : pj]
+    table[: k - 1, pj - 1 : k - 1] = table[: k - 1, pj + 1 : k + 1]
     del live[pj], live[pi]
     live.append(new)
-    return out
 
 
 def upgma_build(m: DistanceMatrix) -> GuideTree:
@@ -99,20 +117,29 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     n = m.size
     if n < 2:
         raise ValueError("need at least two taxa")
-    table, live = m.values.copy(), list(range(n))
-    table.ravel()[:: n + 1] = np.inf  # for _closest_pair
+    table, live = _table_with_spare(m), list(range(n))
+    # The live rows read +inf on the diagonal and right of the block, so
+    # _closest_pair scans them whole: they are contiguous, the block is not.
+    # _join keeps that: it fills the new row past the block with +inf.
+    np.fill_diagonal(table, np.inf)
+    table[:, n] = np.inf
     sizes = [1] * n
     heights = [0.0] * n
     log: list[Merge] = []
 
     for new in range(n, 2 * n - 1):
-        pi, pj, dmin = _closest_pair(table)
+        k = len(live)
+        pi, pj, dmin = _closest_pair(table[:k])
         i, j = live[pi], live[pj]
         h = dmin / 2.0
         si, sj = sizes[i], sizes[j]
-        table = _join(
-            table, live, pi, pj, new, lambda di, dj: (si * di + sj * dj) / (si + sj), np.inf
-        )
+        # At pi and pj the update reads the +inf diagonal and gives +inf; as
+        # dmin is the least distance, it overflows only where a kept entry
+        # does. The last join keeps no cluster, so it updates nothing.
+        if k > 2:
+            row = (si * table[pi, :k] + sj * table[pj, :k]) / (si + sj)
+            _join(table, live, pi, pj, new, row, np.inf)
+            table[: k - 1, k - 1 : k + 1] = np.inf  # the two columns the block left
         sizes.append(si + sj)
         heights.append(h)
         log.append(Merge(i, j, new, dmin, h - heights[i], h - heights[j]))
@@ -128,8 +155,9 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
 
 @dataclass
 class NjWorkspace:
-    """State of a neighbor-joining run: the k x k live distance table,
-    whose rows and columns follow ``live``, the ascending live ids."""
+    """A k x k live distance table, whose rows and columns follow ``live``,
+    the ascending live ids, as ``nj_rates`` reads it. ``nj_build`` keeps the
+    same table as the top-left block of one (n+1)-square array."""
 
     table: np.ndarray
     live: list[int]
@@ -139,18 +167,21 @@ class NjWorkspace:
         return cls(m.values.copy(), list(range(m.size)))
 
 
-def _rates(table: np.ndarray) -> np.ndarray:
-    """Row sums of the k x k live table divided by k - 2, in live order."""
+def _rates(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row sums of the k x k live table divided by k - 2, in live order,
+    written into ``out``, a length-k array."""
     k = len(table)
     if k < 3:
         raise ValueError("rates are defined only for three or more clusters")
-    return table.sum(axis=1) / (k - 2)
+    np.sum(table, axis=1, out=out)
+    out /= k - 2
+    return out
 
 
 def nj_rates(ws: NjWorkspace) -> dict[int, float]:
     """Per-cluster rate u_i = sum of distances to the other live clusters,
     divided by (live count - 2). Recomputed fresh each iteration."""
-    return dict(zip(ws.live, _rates(ws.table).tolist()))
+    return dict(zip(ws.live, _rates(ws.table, np.empty(len(ws.live))).tolist()))
 
 
 def nj_build(m: DistanceMatrix) -> GuideTree:
@@ -166,16 +197,20 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     n = m.size
     if n < 2:
         raise ValueError("need at least two taxa")
-    table, live = m.values.copy(), list(range(n))
+    table, live = _table_with_spare(m), list(range(n))
     lower = np.tri(n, dtype=bool)
+    rates_buffer, scores_buffer = np.empty(n), np.empty(n * n)
     log: list[Merge] = []
 
     for new in range(n, 2 * n - 2):
-        rates = _rates(table)
-        k = len(table)
-        # Zero the masked diagonal, so -2 * u_i cannot overflow there. A
-        # fresh array ravels to a view, and this beat np.fill_diagonal.
-        scores = table - rates[:, None]
+        k = len(live)
+        block = table[:k, :k]
+        rates = _rates(block, rates_buffer[:k])
+        # A contiguous k x k view, so argmin and ravel copy nothing. Zero
+        # the masked diagonal, so -2 * u_i cannot overflow there. Keep the
+        # masked copy: adding a +inf mask would turn an overflowed -inf NaN.
+        scores = scores_buffer[: k * k].reshape(k, k)
+        np.subtract(block, rates[:, None], out=scores)
         scores.ravel()[:: k + 1] = 0.0
         scores -= rates
         np.copyto(scores, np.inf, where=lower[:k, :k])
@@ -184,7 +219,9 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])
         left_len = 0.5 * (dij + u_i - u_j)
         right_len = 0.5 * (dij + u_j - u_i)
-        table = _join(table, live, pi, pj, new, lambda di, dj: (di + dj - dij) / 2.0, 0.0)
+        # At pi and pj, which _join drops, the zero diagonal gives zero.
+        row = (table[pi, :k] + table[pj, :k] - dij) / 2.0
+        _join(table, live, pi, pj, new, row, 0.0)
         log.append(Merge(i, j, new, crit, left_len, right_len))
 
     p, q = live

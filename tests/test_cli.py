@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promsa.bench
+import promsa.distances
 from helpers import SETUP1, hand_written_csv_row, newick_leaf_sets, parse_newick
 from promsa import ScoringScheme, Sequence, TieBreak, align_global, generate_sequences, parse_fasta
 from promsa.bench import BENCH_CSV_HEADER, BenchRecord, records_to_csv, summarize
@@ -108,6 +109,20 @@ class TestAlignCommand:
         assert "error: distance stage failed: pair (a, b): aligning lengths 16384 and 16384" in (
             capsys.readouterr().err
         )
+
+    def test_too_many_sequences_for_the_distance_budget_is_data_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The seven SETUP1 sequences hold 21 pairs, one more than the budget.
+        monkeypatch.setattr(promsa.distances, "MAX_DISTANCE_BYTES", 20 * 146)
+        out = tmp_path / "o.fasta"
+        code = main(["align", "--input", write_setup1(tmp_path / "in.fasta"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: distance stage failed: 7 sequences need about 3066 bytes in the "
+            "distance stage, over the budget of 2920\n"
+        )
+        assert not out.exists()
 
     def test_usage_error_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -339,6 +354,14 @@ class TestBenchCommand:
             promsa.bench.run_bench(
                 ["small", "large"], reps=1, seed=1, large_seqs=[Sequence("a", "ACGT")]
             )
+
+    def test_large_input_over_the_distance_budget_fails_before_any_run(
+        self, monkeypatch, no_bench_runs
+    ):
+        monkeypatch.setattr(promsa.distances, "MAX_DISTANCE_BYTES", 146)
+        seqs = [Sequence(f"s{i}", "ACGT") for i in range(3)]
+        with pytest.raises(ValueError, match="^3 sequences need about 438 bytes"):
+            promsa.bench.run_bench(["small", "large"], reps=1, seed=1, large_seqs=seqs)
 
     def test_bad_large_input_fails_before_any_run(self, tmp_path, capsys, no_bench_runs):
         fasta = tmp_path / "one.fasta"

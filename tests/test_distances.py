@@ -33,6 +33,7 @@ from promsa import (
     pairwise_distance_matrix,
     upgma_build,
 )
+from promsa.distances import MAX_DISTANCE_BYTES, check_taxa
 from promsa.pairwise import (
     _COUNT_BITS,
     _LANE_KEY_CELLS,
@@ -382,6 +383,16 @@ class TestLaneCounts:
             site_counts(a, b, ScoringScheme()) for a, b in pairs
         ]
 
+    def test_sides_past_the_int32_cell_product_go_pair_by_pair(self):
+        # (46,341 + 1) ** 2 cells wrap to a negative int32, which would pass
+        # the lane test; in int64 the pair goes to site_counts, whose budget
+        # check names it before any grid is filled.
+        rng = random.Random(15)
+        pairs = [(random_dna(rng, 12, 12), random_dna(rng, 12, 12)) for _ in range(_LANE_MIN)]
+        pairs.append(("A" * 46_341, "C" * 46_341))
+        with pytest.raises(ValueError, match="aligning lengths 46341 and 46341"):
+            batch_site_counts(*keyed(pairs), ScoringScheme())
+
 
 class TestJukesCantor:
     def test_zero_distance_at_zero_mismatches(self):
@@ -628,6 +639,30 @@ class TestPairwiseDistanceMatrix:
             pairwise_distance_matrix([Sequence("a", "AC"), Sequence("a", "GT")])
         with pytest.raises(ValueError, match="gaps"):
             pairwise_distance_matrix([Sequence("a", "A_C"), Sequence("b", "GT")])
+
+
+class TestTaxaBudget:
+    def test_budget_admits_5424_sequences(self):
+        check_taxa(5424)  # 14,707,176 pairs at 146 bytes: 2,147,247,696
+        message = (
+            "5425 sequences need about 2148039600 bytes in the distance stage, "
+            f"over the budget of {MAX_DISTANCE_BYTES}"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_taxa(5425)
+
+    def test_too_many_sequences_form_no_pair(self, monkeypatch):
+        # Three sequences hold 3 pairs and fit; four hold 6 and do not.
+        monkeypatch.setattr(promsa.distances, "MAX_DISTANCE_BYTES", 5 * 146)
+        seqs = [Sequence(f"s{i}", "ACGT"[: i + 1]) for i in range(4)]
+        assert pairwise_distance_matrix(seqs[:3]).size == 3
+
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("pairs were formed")
+
+        monkeypatch.setattr(promsa.distances.np, "triu_indices", no_pairs)
+        with pytest.raises(ValueError, match="^4 sequences need about 876 bytes .* budget of 730$"):
+            pairwise_distance_matrix(seqs)
 
 
 class TestDistanceMatrixOwnsValues:

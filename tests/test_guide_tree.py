@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -27,8 +27,10 @@ from promsa import (
     GuideTree,
     Merge,
     NjWorkspace,
+    Sequence,
     nj_build,
     nj_rates,
+    pairwise_distance_matrix,
     to_newick,
     tree_distances,
     upgma_build,
@@ -376,9 +378,13 @@ class TestClosestPair:
         with pytest.raises(ValueError, match="distance table contains non-finite values"):
             _closest_pair(scores)
 
-    @given(signed_inf_diagonal_tables())
-    def test_equals_the_masked_selection_on_inf_diagonal_tables(self, table):
-        assert outcome(_closest_pair, table) == outcome(masked_closest_pair, table)
+    @given(signed_inf_diagonal_tables(), st.integers(0, 3))
+    def test_equals_the_masked_selection_on_inf_diagonal_tables(self, table, pad):
+        expected = outcome(masked_closest_pair, table)
+        assert outcome(_closest_pair, table) == expected
+        # Whole rows of a wider table, +inf right of the block, as upgma_build scans them.
+        wide = np.hstack([table, np.full((len(table), pad), np.inf)])
+        assert outcome(_closest_pair, wide) == expected
 
 
 def scan_closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
@@ -593,12 +599,39 @@ def signed_zero_matrices(draw):
     return DistanceMatrix(m.taxa, values)
 
 
+@st.composite
+def two_letter_matrices(draw):
+    """Jukes-Cantor distances of 5-100 seeded random strings of 4-12 letters
+    over A and C: many exact ties and zero distances, as in the benchmark's
+    100-taxon tables."""
+    n = draw(st.integers(5, 100))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    seqs = [
+        Sequence(f"t{i}", "".join(rng.choices("AC", k=rng.randint(4, 12)))) for i in range(n)
+    ]
+    return pairwise_distance_matrix(seqs)
+
+
+def close_pair_matrix(n: int, i: int, j: int) -> DistanceMatrix:
+    """Distance 10 between every two of n taxa but 1 between i and j, so
+    both builders join i and j first, at those table positions."""
+    values = np.full((n, n), 10.0)
+    values[i, j] = values[j, i] = 1.0
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(tuple(f"t{k}" for k in range(n)), values)
+
+
 class TestLiveTable:
     @pytest.mark.parametrize(
         ("build", "oracle"),
         [(upgma_build, working_table_upgma_build), (nj_build, working_table_nj_build)],
     )
-    @given(m=tied_matrices() | uniform_matrices() | signed_zero_matrices())
+    @settings(deadline=None)
+    @given(
+        m=tied_matrices() | uniform_matrices() | signed_zero_matrices() | two_letter_matrices()
+    )
+    @example(m=close_pair_matrix(6, 0, 5))  # the first and last live positions
+    @example(m=close_pair_matrix(6, 2, 3))  # two adjacent positions
     def test_build_equals_working_table_build(self, build, oracle, m):
         # repr shows every float exactly, the sign of a zero included.
         assert repr(build(m)) == repr(oracle(m))

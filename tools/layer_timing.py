@@ -8,8 +8,8 @@ rounds over every cell of its table. The script prints three Markdown
 tables, so the tree, kernel and distance layers' cost can be compared
 across commits on one machine:
 
-- Guide tree: for each n in 50, 100, 200, 400 and 800, n seeded random
-  points in the unit cube give the distance matrix (their Euclidean
+- Guide tree: for each n in 50, 100, 200, 400, 800 and 1600, n seeded
+  random points in the unit cube give the distance matrix (their Euclidean
   distances), and ``upgma_build`` and ``nj_build`` are timed on it, in ms.
 - DP kernel: for each n in 100, 200, 400, 800 and 1600, ``align_strings``
   is timed on a seeded random pair of n-nt DNA sequences under the default
@@ -42,7 +42,7 @@ from time import perf_counter_ns
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-TREE_SIZES = (50, 100, 200, 400, 800)
+TREE_SIZES = (50, 100, 200, 400, 800, 1600)
 KERNEL_SIZES = (100, 200, 400, 800, 1600)
 DISTANCE_SIZES = (250, 500, 1000, 2000)
 REPEATS = 5
