@@ -5,7 +5,9 @@ k x k block is the table of the k live clusters, in ascending id order. A
 join writes the new cluster's distances into the row and column just past
 the block, then closes the two joined rows and columns by shifting the
 later ones up and left, so the block shrinks by one and the new cluster
-comes last; no join allocates a table. Every join is recorded in a merge
+comes last. No join gathers the kept block or builds a fresh table; the
+column shift still copies its overlapping source block, as numpy does for
+any overlapping 2-D assignment. Every join is recorded in a merge
 log that downstream progressive merging replays. The merge log is the tree:
 serialization and path lengths loop over it, so depth sets no recursion
 limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
@@ -88,11 +90,12 @@ def _join(
     into ``new``: its distances ``row`` (length k; the entries at pi and pj
     are dropped) fill row and column k and ``diagonal`` the rest of row k,
     then the rows and columns after pi and after pj shift up and left over
-    them. The block left is (k-1)-square and keeps the live ids ascending,
-    since ``new``, the largest id so far, comes last. Rows move whole, as
-    one flat run each, which numpy copies in place; it copies an
-    overlapping block of columns before it writes, so every shift reads
-    the values from before it."""
+    them, and the two columns the block leaves read ``diagonal``, so the
+    live rows read ``diagonal`` right of the block. The block left is
+    (k-1)-square and keeps the live ids ascending, since ``new``, the
+    largest id so far, comes last. Rows move whole, as one flat run each,
+    which numpy copies in place; it copies an overlapping block of columns
+    before it writes, so every shift reads the values from before it."""
     k = len(live)
     table[k, :k] = table[:k, k] = row
     table[k, k:] = diagonal
@@ -102,6 +105,7 @@ def _join(
     flat[(pj - 1) * width : (k - 1) * width] = flat[(pj + 1) * width : (k + 1) * width]
     table[: k - 1, pi : pj - 1] = table[: k - 1, pi + 1 : pj]
     table[: k - 1, pj - 1 : k - 1] = table[: k - 1, pj + 1 : k + 1]
+    table[: k - 1, k - 1 : k + 1] = diagonal
     del live[pj], live[pi]
     live.append(new)
 
@@ -120,7 +124,7 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
     table, live = _table_with_spare(m), list(range(n))
     # The live rows read +inf on the diagonal and right of the block, so
     # _closest_pair scans them whole: they are contiguous, the block is not.
-    # _join keeps that: it fills the new row past the block with +inf.
+    # _join keeps that, as it fills the table past the block with +inf.
     np.fill_diagonal(table, np.inf)
     table[:, n] = np.inf
     sizes = [1] * n
@@ -139,7 +143,6 @@ def upgma_build(m: DistanceMatrix) -> GuideTree:
         if k > 2:
             row = (si * table[pi, :k] + sj * table[pj, :k]) / (si + sj)
             _join(table, live, pi, pj, new, row, np.inf)
-            table[: k - 1, k - 1 : k + 1] = np.inf  # the two columns the block left
         sizes.append(si + sj)
         heights.append(h)
         log.append(Merge(i, j, new, dmin, h - heights[i], h - heights[j]))

@@ -338,25 +338,18 @@ def batch_site_counts(
     cells is a lane: ``_chunks`` cuts these into chunks, each filled by
     anti-diagonals across its lanes by ``_lane_counts``, which gathers its
     lanes' code points from one concatenation of ``strings``. The other
-    pairs go one by one through ``site_counts``. Each side's lengths are
-    gathered once, as int32, and the chunker takes them as they are when
-    every key is a lane.
+    pairs go one by one through ``site_counts``.
     """
-    lengths = np.array([len(x) for x in strings], dtype=np.int32)
+    lengths = np.array([len(x) for x in strings], dtype=np.int64)
     len_a, len_b = lengths[key_a], lengths[key_b]
-    # Cells in int64: (len_a + 1) * (len_b + 1) overflows int32 from sides of 46,341.
-    lane = (len(key_a) >= _LANE_MIN) & (
-        (len_a + np.int64(1)) * (len_b + np.int64(1)) <= _LANE_KEY_CELLS
-    )
+    lane = (len(key_a) >= _LANE_MIN) & ((len_a + 1) * (len_b + 1) <= _LANE_KEY_CELLS)
     counts = np.zeros((2, len(key_a)), dtype=np.int64)  # matches, then comparable
     for k in np.flatnonzero(~lane).tolist():
         counts[:, k] = site_counts(strings[key_a[k]], strings[key_b[k]], s)
     keys = np.flatnonzero(lane)
-    if len(keys) < len(lane):  # else the chunker takes the lengths as gathered
-        len_a, len_b = len_a[keys], len_b[keys]
     codes = _codes("".join(strings))
     bounds = np.concatenate(([0], np.cumsum(lengths)))  # string k is codes[bounds[k] : bounds[k+1]]
-    for chunk in _chunks(len_a, len_b):
+    for chunk in _chunks(len_a[keys], len_b[keys]):
         chunk = keys[chunk]
         counts[:, chunk] = _lane_counts(codes, bounds, key_a[chunk], key_b[chunk], s)
     return counts[0], counts[1]
@@ -372,8 +365,7 @@ def _chunks(len_a: np.ndarray | list[int], len_b: np.ndarray | list[int]) -> lis
     1, so no chunk holds more than ``_LANE_CELLS`` pairs, and each cut looks
     that far ahead only: the chunker is linear in the pairs."""
     order = np.lexsort((len_b, len_a))
-    sides = np.maximum(len_a, len_b)[order]
-    sides += 1
+    sides = np.maximum(len_a, len_b)[order] + 1
     chunks = []
     start = 0
     while start < len(order):

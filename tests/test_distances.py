@@ -383,16 +383,6 @@ class TestLaneCounts:
             site_counts(a, b, ScoringScheme()) for a, b in pairs
         ]
 
-    def test_sides_past_the_int32_cell_product_go_pair_by_pair(self):
-        # (46,341 + 1) ** 2 cells wrap to a negative int32, which would pass
-        # the lane test; in int64 the pair goes to site_counts, whose budget
-        # check names it before any grid is filled.
-        rng = random.Random(15)
-        pairs = [(random_dna(rng, 12, 12), random_dna(rng, 12, 12)) for _ in range(_LANE_MIN)]
-        pairs.append(("A" * 46_341, "C" * 46_341))
-        with pytest.raises(ValueError, match="aligning lengths 46341 and 46341"):
-            batch_site_counts(*keyed(pairs), ScoringScheme())
-
 
 class TestJukesCantor:
     def test_zero_distance_at_zero_mismatches(self):
