@@ -12,9 +12,12 @@ log that downstream progressive merging replays. The merge log is the tree:
 serialization and path lengths loop over it, so depth sets no recursion
 limit. Cluster ids are assigned so that leaves take 0..n-1 in taxa order
 and each new cluster receives the next free index. Each join is the first
-minimum, in row-major order, of the upper triangle of the live table, which
-one argmin finds, so ties go to the smallest (i, j) index pair and both
-builders are deterministic.
+minimum, in row-major order, of the upper triangle of the live table, so
+ties go to the smallest (i, j) index pair and both builders are
+deterministic. One argmin over the whole table, diagonal at +inf, finds it
+unless that first minimum lies below the diagonal, which only NJ's
+criterion allows (its mirror entries can round apart); then a masked copy
+is scanned again.
 """
 
 from __future__ import annotations
@@ -59,15 +62,25 @@ class GuideTree:
 
 def _closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
     """Table positions (row, col) and value of the first row-major minimum
-    of the k x k ``scores``, whose diagonal and lower triangle read +inf,
-    or which is symmetric under == (so +0.0 and -0.0 tie) with +inf on its
-    diagonal: a minimum below the diagonal then comes after its mirror. So
-    (row, col) lies above it, and a -0.0 keeps its sign. ``scores`` may also
-    be k whole rows of a wider table that reads +inf right of the k x k
-    block, whose first minimum is the block's. Live ids ascend (removals
-    keep order, each new id is the largest), so among tied minima this is
-    the smallest (i, j) id pair. A non-finite minimum is an error."""
-    row, col = divmod(int(np.argmin(scores)), scores.shape[1])
+    of the strict upper triangle of the k x k ``scores``, whose diagonal
+    reads +inf. When the first minimum (or NaN) of the whole table lies
+    above the diagonal, it is that one: no upper entry is less, and none
+    equal comes before it. A symmetric table under == (+0.0 and -0.0 tie)
+    always gives that case, as a minimum below the diagonal comes after its
+    mirror; otherwise a copy with the lower triangle at +inf is scanned
+    again, and ``scores`` is never written. The value is read above the
+    diagonal, so a -0.0 keeps its sign. ``scores`` may also be k whole rows
+    of a wider table that reads +inf right of the k x k block, whose first
+    minimum is the block's. Live ids ascend (removals keep order, each new
+    id is the largest), so among tied minima this is the smallest (i, j) id
+    pair. A non-finite minimum is an error."""
+    width = scores.shape[1]
+    row, col = divmod(int(scores.argmin()), width)
+    if row > col:
+        # Only an unsymmetric table gets here: NJ's criterion, whose mirror
+        # entries can round apart. Mask a copy, as ``scores`` may be live.
+        scores = np.where(np.tri(*scores.shape, dtype=bool), np.inf, scores)
+        row, col = divmod(int(scores.argmin()), width)
     value = float(scores[row, col])
     if not math.isfinite(value):
         raise ValueError("distance table contains non-finite values")
@@ -176,7 +189,7 @@ def _rates(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     k = len(table)
     if k < 3:
         raise ValueError("rates are defined only for three or more clusters")
-    np.sum(table, axis=1, out=out)
+    np.add.reduce(table, axis=1, out=out)
     out /= k - 2
     return out
 
@@ -201,7 +214,6 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
     if n < 2:
         raise ValueError("need at least two taxa")
     table, live = _table_with_spare(m), list(range(n))
-    lower = np.tri(n, dtype=bool)
     rates_buffer, scores_buffer = np.empty(n), np.empty(n * n)
     log: list[Merge] = []
 
@@ -210,13 +222,14 @@ def nj_build(m: DistanceMatrix) -> GuideTree:
         block = table[:k, :k]
         rates = _rates(block, rates_buffer[:k])
         # A contiguous k x k view, so argmin and ravel copy nothing. Zero
-        # the masked diagonal, so -2 * u_i cannot overflow there. Keep the
-        # masked copy: adding a +inf mask would turn an overflowed -inf NaN.
+        # the diagonal, so -2 * u_i cannot overflow there, then set it to
+        # +inf for _closest_pair. The lower triangle stays: (d - u_i) - u_j
+        # can round apart from its mirror, which _closest_pair allows for.
         scores = scores_buffer[: k * k].reshape(k, k)
         np.subtract(block, rates[:, None], out=scores)
         scores.ravel()[:: k + 1] = 0.0
         scores -= rates
-        np.copyto(scores, np.inf, where=lower[:k, :k])
+        scores.ravel()[:: k + 1] = np.inf
         pi, pj, crit = _closest_pair(scores)
         i, j = live[pi], live[pj]
         u_i, u_j, dij = float(rates[pi]), float(rates[pj]), float(table[pi, pj])

@@ -35,7 +35,7 @@ from promsa import (
     tree_distances,
     upgma_build,
 )
-from promsa.guide_tree import BuildStats, _closest_pair
+from promsa.guide_tree import BuildStats, _closest_pair, _rates
 
 # Additive distances realized by the tree ((a:1,b:2),(c:3,d:4)) with an
 # internal edge of length 5.
@@ -52,6 +52,16 @@ NJ4_VALUES = np.array(
 
 def nj4_matrix() -> DistanceMatrix:
     return DistanceMatrix(NJ4_TAXA, NJ4_VALUES.copy())
+
+
+def mirror_rounding_matrix() -> DistanceMatrix:
+    """Four taxa whose NJ criterion rounds its mirror entries apart at the
+    first join: (d - u_3) - u_2 reads -7.450000000000001, below its mirror
+    and below (0, 1), which reads -7.45 as (2, 3) does."""
+    values = np.array(
+        [[0, 2.8, 2.6, 4.6], [2.8, 0, 2.5, 5.2], [2.6, 2.5, 0, 0.8], [4.6, 5.2, 0.8, 0]]
+    )
+    return DistanceMatrix(NJ4_TAXA, values)
 
 
 def upgma3_matrix() -> DistanceMatrix:
@@ -153,6 +163,15 @@ class TestNjRates:
         with pytest.raises(ValueError):
             nj_rates(ws)
 
+    @given(st.integers(3, 40), st.data())
+    def test_rates_are_numpy_row_sums_on_a_strided_block(self, n, data):
+        k = data.draw(st.integers(3, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # The live block of nj_build's table: k x k, rows n + 1 apart.
+        block = rng.uniform(0.0, 1.0, size=(n + 1, n + 1))[:k, :k]
+        rates = _rates(block, np.empty(k))
+        assert rates.tobytes() == (np.sum(block, axis=1) / (k - 2)).tobytes()
+
 
 class TestNjBuild:
     def test_first_iteration_criterion(self):
@@ -160,6 +179,17 @@ class TestNjBuild:
         first = tree.merge_log[0]
         assert (first.left, first.right) == (0, 1)  # tie with (c,d) broken by index
         assert first.criterion == pytest.approx(-20.0)
+
+    def test_first_join_is_the_upper_minimum_when_a_mirror_rounds_below(self):
+        m = mirror_rounding_matrix()
+        u = m.values.sum(axis=1) / 2
+        scores = inf_diagonal((m.values - u[:, None]) - u[None, :])
+        # The unmasked first minimum lies below the diagonal ...
+        assert divmod(int(scores.argmin()), 4) == (3, 2)
+        assert scores[3, 2] == -7.450000000000001
+        # ... so the join is the first upper minimum, not (3, 2) or its mirror.
+        first = nj_build(m).merge_log[0]
+        assert (first.left, first.right, first.criterion) == (0, 1, -7.45)
 
     def test_recovers_additive_tree_exactly(self):
         tree = nj_build(nj4_matrix())
@@ -337,6 +367,21 @@ def signed_inf_diagonal_tables(draw):
     return table
 
 
+@st.composite
+def unsymmetric_inf_diagonal_tables(draw):
+    """A 2-12 square table with +inf on its diagonal and each other entry
+    drawn on its own, so the two triangles differ: from a few values (ties
+    everywhere, both zeros, +inf), and in half the tables -inf and NaN too."""
+    k = draw(st.integers(2, 12))
+    pool = [0.0, -0.0, 1.0, 2.5, -1.0, np.inf]
+    if draw(st.booleans()):
+        pool += [-np.inf, np.nan]
+    table = np.array(draw(st.lists(st.sampled_from(pool), min_size=k * k, max_size=k * k)))
+    table = table.reshape(k, k)
+    np.fill_diagonal(table, np.inf)
+    return table
+
+
 def outcome(closest, scores: np.ndarray) -> str:
     """repr of ``closest(scores)``, which shows a zero's sign, or its error."""
     try:
@@ -378,13 +423,18 @@ class TestClosestPair:
         with pytest.raises(ValueError, match="distance table contains non-finite values"):
             _closest_pair(scores)
 
-    @given(signed_inf_diagonal_tables(), st.integers(0, 3))
+    @given(
+        signed_inf_diagonal_tables() | unsymmetric_inf_diagonal_tables(), st.integers(0, 3)
+    )
     def test_equals_the_masked_selection_on_inf_diagonal_tables(self, table, pad):
         expected = outcome(masked_closest_pair, table)
-        assert outcome(_closest_pair, table) == expected
         # Whole rows of a wider table, +inf right of the block, as upgma_build scans them.
         wide = np.hstack([table, np.full((len(table), pad), np.inf)])
+        before = table.tobytes(), wide.tobytes()
+        assert outcome(_closest_pair, table) == expected
         assert outcome(_closest_pair, wide) == expected
+        # Bytes show a zero's sign and a NaN: nothing was written.
+        assert (table.tobytes(), wide.tobytes()) == before
 
 
 def scan_closest_pair(scores: np.ndarray) -> tuple[int, int, float]:
@@ -632,6 +682,7 @@ class TestLiveTable:
     )
     @example(m=close_pair_matrix(6, 0, 5))  # the first and last live positions
     @example(m=close_pair_matrix(6, 2, 3))  # two adjacent positions
+    @example(m=mirror_rounding_matrix())  # NJ's first minimum lies below the diagonal
     def test_build_equals_working_table_build(self, build, oracle, m):
         # repr shows every float exactly, the sign of a zero included.
         assert repr(build(m)) == repr(oracle(m))
