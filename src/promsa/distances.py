@@ -1,21 +1,25 @@
 """Jukes-Cantor evolutionary distances assembled into a distance matrix.
 
 Distances are computed from Needleman-Wunsch alignments of each distinct
-ordered pair of residue strings. The stage numbers the distinct strings
-and the distinct ordered keys, and passes the strings with two index
-arrays, a key's first and second string, to
-``pairwise.batch_site_counts``, which counts the sites of every key at
-once: it fills the keys its thresholds admit as lanes of anti-diagonals,
-gathering each lane's code points by index from one concatenation of the
-strings, each cell carrying the site counts of its traceback path, and
-counts the rest from each pair's move string. No pair is formed when the
-sequences are too many for ``MAX_DISTANCE_BYTES``, and no grid is filled
-when any pair's grid would be over ``MAX_DP_CELLS``. Gap columns are
-excluded from the counts, and each distinct substitution fraction feeds
-the Jukes-Cantor correction once. Fractions at or beyond the model's 3/4
-ceiling are clamped to ``DEFAULT_D_MAX``. The matrix keeps no saturation
-flag: only ``jukes_cantor``, which corrects one pair's counts, reports
-one.
+ordered pair of residue strings (a key). The stage numbers the distinct
+strings and finds each one's first and last input position. Some pair
+puts string a before string b exactly when a's first position comes
+before b's last, so the keys are listed from the distinct strings alone,
+and no list of the pairs is made. The strings go with two index arrays, a
+key's first and second string, to ``pairwise.batch_site_counts``, which
+counts the sites of every key at once: it fills the keys its thresholds
+admit as lanes of anti-diagonals, gathering each lane's code points by
+index from one concatenation of the strings, each cell carrying the site
+counts of its traceback path, and counts the rest from each pair's move
+string. The key distances fill a table over the distinct strings, and
+the matrix is one gather of it by each sequence's string. No key is
+formed when the sequences are too many for ``MAX_DISTANCE_BYTES``, and
+no grid is filled when any pair's grid would be over ``MAX_DP_CELLS``.
+Gap columns are excluded from the counts, and each distinct substitution
+fraction feeds the Jukes-Cantor correction once. Fractions at or beyond
+the model's 3/4 ceiling are clamped to ``DEFAULT_D_MAX``. The matrix
+keeps no saturation flag: only ``jukes_cantor``, which corrects one
+pair's counts, reports one.
 """
 
 from __future__ import annotations
@@ -43,11 +47,12 @@ from .sequences import GAP, Sequence, check_raw_inputs
 DEFAULT_D_MAX = 10.0
 
 # check_taxa keeps the stage's peak within MAX_DISTANCE_BYTES, as MAX_DP_CELLS
-# bounds one grid. The peak grows with the n(n-1)/2 pairs: 146 bytes a pair
-# is the ru_maxrss rise of one stage on 2,000 random 12-nt sequences
-# (tools/layer_timing.py; 2-core x86, Python 3.11, numpy 2.4), whose
-# per-pair arrays do not grow with the sequences' length. 2 GiB admits
-# 5,424 sequences.
+# bounds one grid. The peak grows with the n(n-1)/2 pairs, whose arrays do
+# not grow with the sequences' length: one stage on 2,000 random 12-nt
+# sequences raises ru_maxrss by 99 bytes a pair (tools/layer_timing.py;
+# 2-core x86, Python 3.11, numpy 2.4). The bound keeps an earlier 146 bytes
+# a pair, so 2 GiB still admits 5,424 sequences: raising it changes which
+# inputs are accepted.
 MAX_DISTANCE_BYTES = 2**31
 _PAIR_BYTES = 146
 
@@ -194,15 +199,23 @@ def pairwise_distance_matrix(
     ids = check_raw_inputs(seqs)
     n = len(seqs)
     check_taxa(n)
-    residues = [seq.residues for seq in seqs]
     # Number the distinct residue strings (an object array, so no string is
-    # padded to the longest), then the distinct ordered keys.
-    strings, string_of = np.unique(np.array(residues, dtype=object), return_inverse=True)
-    rows, cols = np.triu_indices(n, 1)  # every pair, in row order
-    keys, first, key_of_pair = np.unique(
-        string_of[rows] * len(strings) + string_of[cols], return_index=True, return_inverse=True
-    )
-    key_a, key_b = np.divmod(keys, len(strings))
+    # padded to the longest), with each one's first and last input position.
+    residues = np.array([seq.residues for seq in seqs], dtype=object)
+    strings, first, string_of = np.unique(residues, return_index=True, return_inverse=True)
+    last = n - 1 - np.unique(residues[::-1], return_index=True)[1]
+    # Some pair puts string a before string b exactly when a first comes
+    # before b last: these are the keys, in (a, b) order.
+    key_a, key_b = np.nonzero(first[:, None] < last)
+
+    def by_pair(key_values: np.ndarray) -> np.ndarray:
+        """The n x n gather of a key table: [i, j] holds the value of key
+        (string_of[i], string_of[j]), or 0 if that is not a key. Only the
+        entries above the diagonal are pairs' keys."""
+        table = np.zeros((len(strings), len(strings)), dtype=key_values.dtype)
+        table[key_a, key_b] = key_values
+        return table[string_of[:, None], string_of]
+
     lengths = np.array([len(r) for r in strings])
     # No grid is filled while any key is over the budget.
     failed = (lengths[key_a] + 1) * (lengths[key_b] + 1) > MAX_DP_CELLS
@@ -210,8 +223,8 @@ def pairwise_distance_matrix(
         matches, comparable = batch_site_counts(strings.tolist(), key_a, key_b, s)
         failed = comparable == 0
     if failed.any():
-        k = first[failed].min()  # the first pair of a failed key, in row order
-        i, j = rows[k], cols[k]
+        # The first failed pair in row order holds the first True above the diagonal.
+        i, j = divmod(int(np.triu(by_pair(failed), 1).argmax()), n)
         try:
             check_dp_cells(len(residues[i]), len(residues[j]))
             raise ValueError(_NO_SITES)  # within the budget, so it was aligned
@@ -221,6 +234,8 @@ def pairwise_distance_matrix(
     # distinct ones, so each distinct fraction is corrected once.
     fractions, fraction_of_key = np.unique((comparable - matches) / comparable, return_inverse=True)
     distances = np.array([_jukes_cantor_value(p) for p in fractions.tolist()])[fraction_of_key]
-    values = np.zeros((n, n))
-    values[rows, cols] = values[cols, rows] = distances[key_of_pair]
-    return DistanceMatrix(tuple(ids), values)
+    # Each n x n float array held at once adds 16 bytes a pair to the peak,
+    # so the key table is freed before the upper triangle is copied out, and
+    # the lower one is filled in place.
+    values = np.triu(by_pair(distances), 1)
+    return DistanceMatrix(tuple(ids), np.add(values, values.T, out=values))

@@ -597,6 +597,19 @@ class TestPairwiseDistanceMatrix:
             pairwise_distance_matrix(seqs)
         assert fills == []
 
+    def test_the_error_names_the_first_failed_pair_not_the_first_failed_key(self, monkeypatch):
+        # Every pair is over the budget. In (a, b) order of the sorted strings
+        # A, G, T the first failed key is (G, A), whose first pair is (s1, s2);
+        # the first failed pair in row order is (s0, s1), of key (T, G).
+        monkeypatch.setattr(promsa.pairwise, "MAX_DP_CELLS", 400)
+        monkeypatch.setattr(promsa.distances, "MAX_DP_CELLS", 400)
+        seqs = [Sequence("s0", "T" * 22), Sequence("s1", "G" * 21), Sequence("s2", "A" * 23)]
+        message = (
+            "pair (s0, s1): aligning lengths 22 and 21 needs 506 DP cells, over the budget of 400"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pairwise_distance_matrix(seqs)
+
     def test_no_per_pair_alignment_above_the_lane_minimum(self, monkeypatch):
         calls = []
 
@@ -650,7 +663,9 @@ class TestTaxaBudget:
         def no_pairs(*args, **kwargs):
             raise AssertionError("pairs were formed")
 
-        monkeypatch.setattr(promsa.distances.np, "triu_indices", no_pairs)
+        # The stage's first calls past the check number the strings and list the keys.
+        monkeypatch.setattr(promsa.distances.np, "unique", no_pairs)
+        monkeypatch.setattr(promsa.distances.np, "nonzero", no_pairs)
         with pytest.raises(ValueError, match="^4 sequences need about 876 bytes .* budget of 730$"):
             pairwise_distance_matrix(seqs)
 
