@@ -190,10 +190,13 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
         grid = np.zeros((m + 1, n + 1), dtype=dtype)
         # Bound once: a lookup per row cost 5-10% of a 200 x 200 fill.
         add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
-        for x, diag, up, out in zip(a, grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:]):
+        # Each row's out is the next row's up, so zip makes two views a row.
+        up = grid[0, 1:]
+        for x, diag, out in zip(a, grid[:-1, :-1], grid[1:, 1:]):
             add(diag, steps[x], out=out)
             maximum(out, up, out=out)
             running_max(out, out=out)
+            up = out
         return memoryview(grid.reshape(-1))
     steps = {x: [diag_match if x == y else diag_mismatch for y in b] for x in set(a)}
     prev = [0] * (n + 1)
@@ -261,33 +264,41 @@ def _align(a: str, b: str, s: ScoringScheme) -> tuple[int, str]:
     """``align_strings`` without the memo."""
     gap = s.gap_penalty
     diag_match, diag_mismatch = _diag_steps(s)
-    ra, rb = a[::-1], b[::-1]
-    flat = _fill(ra, rb, s)
-    i, j = len(a), len(b)
-    width = j + 1
-    k = len(flat) - 1  # flat index of cell (i, j)
-    score = flat[k] + gap * (i + j)
-    # Walking the reversed grid from its corner gives moves in alignment order.
-    # On its zero first row or column, D > U > L runs straight to the origin.
+    flat = _fill(a[::-1], b[::-1], s)
+    m, n = len(a), len(b)
+    width = n + 1
+    k = len(flat) - 1  # flat index of cell (m, n)
+    score = flat[k] + gap * (m + n)
+    # Walking the reversed grid from its corner gives moves in alignment order,
+    # with a[p] and b[q] the next residues of each input. On its zero first row
+    # or column, D > U > L runs straight to the origin. The walk carries the
+    # current cell's value and reads the cell above only when D fails, so a D
+    # step reads one cell, a U step two and an L step three.
     moves: list[str] = []
-    while i and j:
-        cell = flat[k]
-        if cell == flat[k - width - 1] + (
-            diag_match if ra[i - 1] == rb[j - 1] else diag_mismatch
-        ):
+    cell = flat[k]
+    p = q = 0
+    diag_offset = width + 1  # flat offset from a cell to its diagonal neighbour
+    while p < m and q < n:
+        diag = flat[k - diag_offset]
+        if cell == diag + (diag_match if a[p] == b[q] else diag_mismatch):
             moves.append(DIAG)
-            i -= 1
-            j -= 1
-            k -= width + 1
-        elif cell == flat[k - width]:
+            p += 1
+            q += 1
+            k -= diag_offset
+            cell = diag
+            continue
+        up = flat[k - width]
+        if cell == up:
             moves.append(UP)
-            i -= 1
+            p += 1
             k -= width
+            cell = up
         else:
             moves.append(LEFT)
-            j -= 1
+            q += 1
             k -= 1
-    return score, "".join(moves) + UP * i + LEFT * j
+            cell = flat[k]
+    return score, "".join(moves) + UP * (m - p) + LEFT * (n - q)
 
 
 _memo_align = lru_cache(maxsize=_MEMO_KEYS)(_align)
@@ -318,12 +329,13 @@ def site_counts(a: str, b: str, s: ScoringScheme) -> tuple[int, int]:
 
     Counted from the move string: every diagonal move is comparable, and a
     column matches when its two symbols are equal, which no gap column can
-    be since neither input holds a gap.
+    be since neither input holds a gap. One numpy comparison of the two
+    rows' code points counts the matches.
     """
     _, moves = align_strings(a, b, s)
     row_a = expand_by_moves(a, moves, DIAG + UP)
     row_b = expand_by_moves(b, moves, DIAG + LEFT)
-    return sum(map(str.__eq__, row_a, row_b)), moves.count(DIAG)
+    return int(np.count_nonzero(_codes(row_a) == _codes(row_b))), moves.count(DIAG)
 
 
 def batch_site_counts(

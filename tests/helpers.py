@@ -1,6 +1,7 @@
 """Shared test oracles: the character-loop FASTA reader, exhaustive
 alignment enumeration, the scalar
 Needleman-Wunsch fill and traceback, the per-move gap expansion, the
+column-loop site count, the
 align-every-pair distance loop, the keyed form of a pair list, the
 chunker that rescans every pair left, the whole-grid and rolling-row
 lock-step lane counts, the column-loop profile, consensus and pair tally, the
@@ -11,8 +12,9 @@ closest-pair selection, the guide-tree builders over a (2n-1)-square
 working table, recursive guide-tree walks, a minimal Newick reader, and
 random tree/matrix/merge-log generators, and the hand-written bench CSV
 row. Everything here is independent
-of the code paths under test, except that the rebuilding merge aligns
-with the shared ``align_strings``, the merge stage over rows joins two
+of the code paths under test, except that the rebuilding merge and the
+column-loop site count align with the shared ``align_strings``, the merge
+stage over rows joins two
 leaves with the shared ``align_global``, the distance loop checks
 cell budgets with the shared ``check_dp_cells``, and ``keyed_lane_counts``
 is an adapter that calls the shared ``_lane_counts``."""
@@ -212,6 +214,15 @@ def loop_expand_by_moves(residues: str, moves: str, consume: str) -> str:
     if pos != len(residues):
         raise ValueError("move string does not consume the whole sequence")
     return "".join(out)
+
+
+def column_loop_site_counts(a: str, b: str, s: ScoringScheme) -> tuple[int, int]:
+    """(matches, comparable columns) of ``align_strings``' alignment, matches
+    counted by one ``str.__eq__`` a column of the two gapped rows."""
+    _, moves = align_strings(a, b, s)
+    row_a = loop_expand_by_moves(a, moves, "DU")
+    row_b = loop_expand_by_moves(b, moves, "DL")
+    return sum(map(str.__eq__, row_a, row_b)), moves.count("D")
 
 
 def rebuild_merge(

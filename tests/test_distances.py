@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import promsa.distances
 import promsa.pairwise
 from helpers import (
+    column_loop_site_counts,
     full_grid_lane_counts,
     keyed,
     keyed_lane_counts,
@@ -86,6 +87,15 @@ class TestColumnStats:
             column_stats(_pair("A_", "_T"))
 
 
+# DNA, a two-letter alphabet, and code points beyond ASCII and the BMP.
+ALPHABETS = ("ACGT", "AB", "é\u0416\U0001f600\U00010348")
+
+
+def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
+    """Strings over ``alphabet`` whose length is drawn evenly from 0 to ``longest``."""
+    return st.integers(0, longest).flatmap(lambda k: st.text(alphabet, min_size=k, max_size=k))
+
+
 class TestSiteCounts:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @given(
@@ -105,14 +115,20 @@ class TestSiteCounts:
             expected = (0, 0)
         assert site_counts(a, b, s) == expected
 
-
-# DNA, a two-letter alphabet, and code points beyond ASCII and the BMP.
-ALPHABETS = ("ACGT", "AB", "é\u0416\U0001f600\U00010348")
-
-
-def _strings(alphabet: str, longest: int) -> st.SearchStrategy[str]:
-    """Strings over ``alphabet`` whose length is drawn evenly from 0 to ``longest``."""
-    return st.integers(0, longest).flatmap(lambda k: st.text(alphabet, min_size=k, max_size=k))
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(
+        # Up to 60 symbols: rows of both the Python and the numpy fill.
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda alphabet: st.tuples(_strings(alphabet, 60), _strings(alphabet, 60))
+        ),
+        # The default scores and their negation, under which gaps outscore
+        # every diagonal step and no column is comparable.
+        st.sampled_from([(3, 0, -1), (-3, 0, 1)]),
+    )
+    def test_equals_the_column_loop_count(self, pair, scores):
+        a, b = pair
+        s = ScoringScheme(*scores)
+        assert site_counts(a, b, s) == column_loop_site_counts(a, b, s)
 
 
 class TestBatchSiteCounts:

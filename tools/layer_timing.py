@@ -23,9 +23,11 @@ across commits on one machine:
   as fills.
 - Distance stage: for each n in 250, 500, 1000 and 2000,
   ``pairwise_distance_matrix`` is timed on n seeded random 12-nt DNA
-  sequences under the default scores, in s. The table also gives its
-  bytes per pair, n(n-1)/2 of them: the rise of ``ru_maxrss`` over one
-  call in a child process of its own, one child per n, run one at a time.
+  sequences under the default scores, in ms with one decimal as in the
+  tree table, so a change of a few percent shows even at n = 250. The
+  table also gives its bytes per pair, n(n-1)/2 of them: the rise of
+  ``ru_maxrss`` over one call in a child process of its own, one child per
+  n, run one at a time.
   No benchmark workload has more than 100 taxa.
 
 The script takes no options and writes no file.
@@ -176,7 +178,7 @@ def distance_timing() -> str:
     sets = {n: dna_set(n) for n in DISTANCE_SIZES}
     best = best_ns(DISTANCE_SIZES, lambda n: pairwise_distance_matrix(sets[n]))
     rows = {
-        f"best of {REPEATS} (s)": [f"{best[n] / 1e9:,.2f}" for n in DISTANCE_SIZES],
+        f"best of {REPEATS} (ms)": [f"{best[n] / 1e6:,.1f}" for n in DISTANCE_SIZES],
         "bytes/pair": [f"{rises[n] / (n * (n - 1) // 2):,.0f}" for n in DISTANCE_SIZES],
     }
     return table("Distance stage, `pairwise_distance_matrix` on n seeded random 12-nt DNA "
