@@ -184,9 +184,10 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     if n + 1 >= _VECTOR_MIN_WIDTH:
         dtype = _grid_dtype(m, n, diag_match, diag_mismatch)
         codes = _codes(b)
-        steps = {
-            x: np.where(codes == ord(x), diag_match, diag_mismatch).astype(dtype) for x in set(a)
-        }
+        # Scalars of the grid's dtype make np.where's row that dtype itself,
+        # with no wider temporary and no cast.
+        match, mismatch = dtype(diag_match), dtype(diag_mismatch)
+        steps = {x: np.where(codes == ord(x), match, mismatch) for x in set(a)}
         grid = np.zeros((m + 1, n + 1), dtype=dtype)
         # Bound once: a lookup per row cost 5-10% of a 200 x 200 fill.
         add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate

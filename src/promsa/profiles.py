@@ -124,8 +124,13 @@ def _merge(first: Msa | Sequence, second: Msa | Sequence, s: ScoringScheme, tie:
     steps = np.frombuffer(moves.encode("ascii"), dtype=np.uint8)
     depth1 = len(ids1)
     codes = np.full((depth1 + len(ids2), len(moves)), ord(GAP), dtype=np.uint8)
-    codes[:depth1, steps != ord(LEFT)] = codes1
-    codes[depth1:, steps != ord(UP)] = codes2
+    # An operand whose string gets no gap fills every joint column, so it is
+    # placed whole; only one that gets a gap needs the mask of its columns.
+    for rows, block, gap in ((slice(depth1), codes1, LEFT), (slice(depth1, None), codes2, UP)):
+        if gap in moves:
+            codes[rows, steps != ord(gap)] = block
+        else:
+            codes[rows] = block
     return Msa._from_codes(ids1 + ids2, descriptions1 + descriptions2, codes)
 
 

@@ -6,6 +6,8 @@ align-every-pair distance loop, the keyed form of a pair list, the
 chunker that rescans every pair left, the whole-grid and rolling-row
 lock-step lane counts, the column-loop profile, consensus and pair tally, the
 merge that rebuilds every row and the merge stage over rows built on it,
+the leaf-leaf group built from its two rows, the merge that places both
+operands through column masks, the column-loop alignment check and count,
 the all-gap column scan, row-pair
 sum-of-pairs loops, the pair-by-pair guide-tree join scan, the masked
 closest-pair selection, the guide-tree builders over a (2n-1)-square
@@ -13,9 +15,10 @@ working table, recursive guide-tree walks, a minimal Newick reader, and
 random tree/matrix/merge-log generators, and the hand-written bench CSV
 row. Everything here is independent
 of the code paths under test, except that the rebuilding merge and the
-column-loop site count align with the shared ``align_strings``, the merge
-stage over rows joins two
-leaves with the shared ``align_global``, the distance loop checks
+column-loop site count align with the shared ``align_strings``, as does
+the masked merge, which builds its result with the shared
+``Msa._from_codes``, the merge stage over rows and the leaf-leaf group join
+two leaves with the shared ``align_global``, the distance loop checks
 cell budgets with the shared ``check_dp_cells``, and ``keyed_lane_counts``
 is an adapter that calls the shared ``_lane_counts``."""
 
@@ -240,6 +243,60 @@ def rebuild_merge(
     ))
 
 
+def leaf_pair_group(a: Sequence, b: Sequence, s: ScoringScheme) -> Msa:
+    """``merge_along``'s leaf-leaf group built from the rows of
+    ``align_global``, which ``Msa`` checks, joins and encodes again."""
+    pair = align_global(a, b, s)
+    return Msa((pair.row_a, pair.row_b))
+
+
+def _masked_operand(operand: Msa | Sequence, tie: TieBreak):
+    if isinstance(operand, Msa):
+        consensus = loop_consensus(string_profile_counts(operand), tie)
+        return operand.ids, operand.descriptions, operand.codes, consensus
+    codes = np.frombuffer(operand.residues.encode("ascii"), dtype=np.uint8).reshape(1, -1)
+    return (operand.id,), (operand.description,), codes, operand.residues
+
+
+def masked_merge(first: Msa | Sequence, second: Msa | Sequence, s: ScoringScheme,
+                 tie: TieBreak) -> Msa:
+    """``profiles._merge`` placing each operand through the boolean mask of
+    the joint columns its string fills, whether or not the string gets a
+    gap; a group's string is the column loop's consensus, drawn for
+    ``first`` first."""
+    ids1, descriptions1, codes1, c1 = _masked_operand(first, tie)
+    ids2, descriptions2, codes2, c2 = _masked_operand(second, tie)
+    _, moves = align_strings(c1, c2, s)
+    steps = np.frombuffer(moves.encode("ascii"), dtype=np.uint8)
+    depth1 = len(ids1)
+    codes = np.full((depth1 + len(ids2), len(moves)), ord(GAP), dtype=np.uint8)
+    codes[:depth1, steps != ord(LEFT)] = codes1
+    codes[depth1:, steps != ord(UP)] = codes2
+    return Msa._from_codes(ids1 + ids2, descriptions1 + descriptions2, codes)
+
+
+def column_loop_msa_check(ids: tuple[str, ...], codes: np.ndarray):
+    """What building an alignment over a depth x width uint8 ``codes`` block
+    gives, column by column: (per-column counts of SYMBOLS, None), or (None,
+    the message of the ValueError it raises). Codes outside SYMBOLS are
+    reported before an all-gap column, for the first row holding one."""
+    depth, width = codes.shape
+    counts, bad_rows, all_gap = [], set(), None
+    for j in range(width):
+        column = codes[:, j].tobytes().decode("latin-1")
+        counts.append([column.count(symbol) for symbol in SYMBOLS])
+        bad_rows.update(i for i, x in enumerate(column) if x not in SYMBOLS)
+        if all_gap is None and column.count(GAP) == depth:
+            all_gap = j
+    if bad_rows:
+        row = min(bad_rows)
+        bad = sorted(set(codes[row].tobytes().decode("latin-1")) - set(SYMBOLS))
+        return None, f"sequence {ids[row]!r} contains invalid symbols: {bad}"
+    if all_gap is not None:
+        return None, f"column {all_gap} consists entirely of gaps"
+    return counts, None
+
+
 def row_merge_along(
     seqs: list[Sequence] | tuple[Sequence, ...], merge_log, s: ScoringScheme, tie: TieBreak
 ) -> Msa:
@@ -251,8 +308,7 @@ def row_merge_along(
     for step in merge_log:
         left, right = groups.pop(step.left), groups.pop(step.right)
         if isinstance(left, Sequence) and isinstance(right, Sequence):
-            pair = align_global(left, right, s)
-            merged = Msa((pair.row_a, pair.row_b))
+            merged = leaf_pair_group(left, right, s)
         else:
             if isinstance(left, Sequence):  # a group stays first when it meets a lone row
                 left, right = right, left

@@ -354,6 +354,29 @@ class TestGridDtype:
         assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
         assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(("scale", "itemsize"), [(1, 2), (2**12, 4), (2**27, 8)])
+    @given(
+        st.text("ACGT", min_size=10, max_size=40),
+        st.text("ACGT", min_size=31, max_size=50),
+        st.integers(1, 6),
+        st.integers(-6, 0),
+        st.integers(-6, -1),
+    )
+    def test_fill_equals_the_shifted_scalar_grid_at_each_width(
+        self, scale, itemsize, a, b, match, mismatch, gap
+    ):
+        # The F bound min(m, n) * (match - 2 * gap) is 30 to 720 times the
+        # scale, which picks the dtype whose scalars form each step row.
+        s = ScoringScheme(match * scale, mismatch * scale, gap * scale)
+        grid = promsa.pairwise._fill(a, b, s)
+        assert grid.itemsize == itemsize
+        expected = [
+            h - s.gap_penalty * (i + j)
+            for i, row in enumerate(scalar_fill(a, b, s)) for j, h in enumerate(row)
+        ]
+        assert grid.tolist() == expected
+
     def test_lane_keys_never_take_int16(self):
         # With every step 0 the scores alone would fit int16, but a key's
         # count and preference bits fill its low _SCORE_SHIFT bits.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     gapped_rows,
     loop_consensus,
+    masked_merge,
     msa_of_rows,
     random_dna,
     rebuild_merge,
@@ -27,6 +28,7 @@ from promsa import (
     sp_score,
     sp_total_cost,
 )
+from promsa.pairwise import LEFT, UP
 from promsa.profiles import _merge
 from promsa.sequences import GAP, SYMBOLS
 
@@ -274,7 +276,80 @@ def merge_operands(draw):
     )
 
 
+@st.composite
+def placement_operands(draw):
+    """(first, second, tie mode, tie seed, scores). Each operand is a group
+    or a lone row, and every row's description is empty or not. A lone
+    second row is equal to, cut from or grown around the first's letters
+    (a lone first's, or its group's longest row's), so that neither side,
+    either or both may gain a gap."""
+    descriptions = st.sampled_from(["", "a description"])
+
+    def group(prefix):
+        rows = draw(gapped_rows(min_depth=2))
+        return Msa(tuple(
+            Sequence(f"{prefix}{i}", row, draw(descriptions)) for i, row in enumerate(rows)
+        ))
+
+    if draw(st.booleans()):
+        first = group("g")
+        letters = max(first.rows, key=lambda row: len(row.residues.replace(GAP, "")))
+        letters = letters.residues.replace(GAP, "")
+    else:
+        letters = draw(st.text("ACGT", min_size=1, max_size=30))
+        first = Sequence("f", letters, draw(descriptions))
+    kind = draw(st.sampled_from(["group", "same", "cut", "grown"]))
+    if kind == "group":
+        second = group("q")
+    else:
+        picks = draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+        if kind == "cut":
+            letters = "".join(x for x, keep in zip(letters, picks) if keep) or letters
+        elif kind == "grown":
+            letters = "".join(x + "T" * grow for x, grow in zip(letters, picks))
+        second = Sequence("new", letters, draw(descriptions))
+    return (
+        first,
+        second,
+        draw(st.sampled_from([TieBreak.LEX, TieBreak.RANDOM])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (2, 1, -1)])),
+    )
+
+
 class TestMerge:
+    @given(placement_operands())
+    def test_equals_masked_placement(self, operands):
+        # An operand whose string gets no gap is placed whole, one that gets
+        # a gap through its column mask: both must give the block that masks
+        # every operand, with the same ids and descriptions.
+        first, second, mode, seed, scores = operands
+        s, tie = ScoringScheme(*scores), TieBreak(mode, seed)
+        merged = _merge(first, second, s, tie)
+        oracle = masked_merge(first, second, s, tie.fresh())
+        assert merged == oracle and merged.descriptions == oracle.descriptions
+        assert merged.counts.tolist() == oracle.counts.tolist()
+        assert not merged.codes.flags.writeable
+
+    @pytest.mark.parametrize(
+        ("first", "second", "gaps"),
+        [
+            ("ACGTAC", "ACGTAC", ""),
+            ("ACGTAC", "ACTAC", "U"),
+            ("ACTAC", "ACGTAC", "L"),
+            ("CAGATTT", "TCATATT", "UL"),
+        ],
+        ids=["neither", "second", "first", "both"],
+    )
+    def test_equals_masked_placement_whichever_side_gains_gaps(self, first, second, gaps):
+        s = ScoringScheme(3, 0, -1)
+        _, moves = align_strings(first, second, s)
+        assert (UP in moves, LEFT in moves) == ("U" in gaps, "L" in gaps)
+        pair = (Sequence("a", first, "first"), Sequence("b", second))
+        group = Msa((Sequence("g0", first), Sequence("g1", first, "copy")))
+        for operands in (pair, (group, pair[1])):
+            assert _merge(*operands, s, TieBreak()) == masked_merge(*operands, s, TieBreak())
+
     @given(merge_operands())
     def test_equals_rebuild_oracle(self, operands):
         # The merge places code blocks and carries no rows: its block must

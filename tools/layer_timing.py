@@ -1,12 +1,13 @@
-"""Print the guide-tree build time, the DP kernel's time and memory, and the
-distance stage's time and memory against n.
+"""Print the guide-tree build time, the DP kernel's time and memory, the
+distance stage's time and memory, and the merge stage's time per join
+against n.
 
 Usage: python tools/layer_timing.py
 
-Every cell of the three tables is timed best of five calls, taken in five
-rounds over every cell of its table. The script prints three Markdown
-tables, so the tree, kernel and distance layers' cost can be compared
-across commits on one machine:
+Every cell of the four tables is timed best of five calls, taken in five
+rounds over every cell of its table. The script prints four Markdown
+tables, so the tree, kernel, distance and merge layers' cost can be
+compared across commits on one machine:
 
 - Guide tree: for each n in 50, 100, 200, 400, 800 and 1000, n seeded
   random points in the unit cube give the distance matrix (their Euclidean
@@ -29,6 +30,12 @@ across commits on one machine:
   ``ru_maxrss`` over one call in a child process of its own, one child per
   n, run one at a time.
   No benchmark workload has more than 100 taxa.
+- Merge stage: for each n in 25, 50 and 100, n seeded 12-nt DNA
+  sequences, each a 10% mutation of one seeded root (the many_taxa
+  shape), are merged by ``merge_along`` along the merge log of
+  ``upgma_build`` and of ``nj_build`` on their distance matrix, with the
+  memo emptied before each call so every leaf-leaf join fills its grid.
+  The table gives the best time in µs per join, n - 1 joins a call.
 
 The script takes no options and writes no file.
 """
@@ -49,6 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TREE_SIZES = (50, 100, 200, 400, 800, 1000)
 KERNEL_SIZES = (100, 200, 400, 800, 1600)
 DISTANCE_SIZES = (250, 500, 1000, 2000)
+MERGE_SIZES = (25, 50, 100)
 REPEATS = 5
 
 
@@ -185,13 +193,54 @@ def distance_timing() -> str:
                  "sequences", DISTANCE_SIZES, rows)
 
 
+def mutant_set(n: int) -> list:
+    """n 12-nt DNA ``Sequence``s, each site of a root redrawn with chance 0.1,
+    seeded by n."""
+    from promsa import Sequence
+
+    rng = random.Random(n)
+    root = rng.choices("ACGT", k=12)
+    return [
+        Sequence(f"s{i}", "".join(rng.choice("ACGT") if rng.random() < 0.1 else x for x in root))
+        for i in range(n)
+    ]
+
+
+def merge_timing() -> str:
+    """The merge-stage table; ``promsa`` must be importable."""
+    from promsa import ScoringScheme, TieBreak, nj_build, pairwise_distance_matrix, upgma_build
+    from promsa.pairwise import _memo_align
+    from promsa.progressive import merge_along
+
+    s, tie = ScoringScheme(), TieBreak()
+    builds = (upgma_build, nj_build)
+    sets = {n: mutant_set(n) for n in MERGE_SIZES}
+    logs = {
+        (build, n): build(pairwise_distance_matrix(sets[n], s)).merge_log
+        for build in builds for n in MERGE_SIZES
+    }
+
+    def cold_merge(cell) -> None:
+        _memo_align.cache_clear()
+        merge_along(sets[cell[1]], logs[cell], s, tie)
+
+    best = best_ns(list(logs), cold_merge)
+    rows = {
+        f"`{b.__name__}` log": [f"{best[b, n] / 1e3 / (n - 1):,.1f}" for n in MERGE_SIZES]
+        for b in builds
+    }
+    return table(f"Merge stage, `merge_along`, best of {REPEATS} (µs per join), n seeded "
+                 "12-nt DNA sequences mutated 10% from one root, memo emptied",
+                 MERGE_SIZES, rows)
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     # Linux starts a child's ru_maxrss at the peak RSS of the process that
     # started it, so the distance table's children run before the other
     # tables make this process large; started after them, they read 0.
     distance = distance_timing()
-    print(tree_timing(), kernel_timing(), distance, sep="\n\n")
+    print(tree_timing(), kernel_timing(), distance, merge_timing(), sep="\n\n")
     return 0
 
 
