@@ -19,8 +19,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distances import DistanceMatrix, pairwise_distance_matrix
 from .evaluate import sp_score, sp_total_cost
 from .guide_tree import GuideTree, Merge, nj_build, upgma_build
@@ -97,12 +95,7 @@ def merge_along(
             ) from None
         if isinstance(left, Sequence) and isinstance(right, Sequence):
             pair = align_global(left, right, scoring)
-            a, b = pair.row_a, pair.row_b
-            # Both rows are checked Sequences, so their ASCII bytes are the codes.
-            codes = np.frombuffer((a.residues + b.residues).encode("ascii"), dtype=np.uint8)
-            merged = Msa._from_codes(
-                (a.id, b.id), (a.description, b.description), codes.reshape(2, -1)
-            )
+            merged = Msa((pair.row_a, pair.row_b))
         elif isinstance(left, Msa) and isinstance(right, Msa):
             merged = align_profile_to_profile(left, right, scoring, tie)
         else:  # a group stays first when it meets a lone row

@@ -26,9 +26,6 @@ FASTA_LINE_WIDTH = 60
 # The count bin of each code: its position in SYMBOLS, or len(SYMBOLS) for any other code.
 _BIN = np.full(256, len(SYMBOLS), dtype=np.intp)
 _BIN[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(len(SYMBOLS))
-# The first bin of each of the first 2,048 columns, 6*j for column j; a wider
-# block forms its own row of offsets.
-_OFFSETS = np.arange(0, (len(SYMBOLS) + 1) * 2048, len(SYMBOLS) + 1)
 
 _LINE_END = r"\r\n?|\n"  # str.splitlines also breaks at \f, \v, \x85, \u2028 and more
 _LINE = re.compile(rf"[^\r\n]*(?:{_LINE_END})|[^\r\n]+")
@@ -137,7 +134,7 @@ class Msa:
         # each column counts its codes outside SYMBOLS.
         width, bins = codes.shape[1], len(SYMBOLS) + 1
         keys = _BIN.take(codes)
-        keys += _OFFSETS[:width] if width <= len(_OFFSETS) else np.arange(0, bins * width, bins)
+        keys += np.arange(0, bins * width, bins)
         counts = np.bincount(keys.ravel(), minlength=bins * width).reshape(width, bins)
         # count_nonzero, not ndarray.any(): about a microsecond less a test,
         # which shows at one alignment built per join.

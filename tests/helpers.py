@@ -6,8 +6,8 @@ align-every-pair distance loop, the keyed form of a pair list, the
 chunker that rescans every pair left, the whole-grid and rolling-row
 lock-step lane counts, the column-loop profile, consensus and pair tally, the
 merge that rebuilds every row and the merge stage over rows built on it,
-the leaf-leaf group built from its two rows, the merge that places both
-operands through column masks, the column-loop alignment check and count,
+the merge that places both operands through column masks, the
+column-loop alignment check and count,
 the all-gap column scan, row-pair
 sum-of-pairs loops, the pair-by-pair guide-tree join scan, the masked
 closest-pair selection, the guide-tree builders over a (2n-1)-square
@@ -17,8 +17,8 @@ row. Everything here is independent
 of the code paths under test, except that the rebuilding merge and the
 column-loop site count align with the shared ``align_strings``, as does
 the masked merge, which builds its result with the shared
-``Msa._from_codes``, the merge stage over rows and the leaf-leaf group join
-two leaves with the shared ``align_global``, the distance loop checks
+``Msa._from_codes``, the merge stage over rows joins two leaves with
+the shared ``align_global``, the distance loop checks
 cell budgets with the shared ``check_dp_cells``, and ``keyed_lane_counts``
 is an adapter that calls the shared ``_lane_counts``."""
 
@@ -243,13 +243,6 @@ def rebuild_merge(
     ))
 
 
-def leaf_pair_group(a: Sequence, b: Sequence, s: ScoringScheme) -> Msa:
-    """``merge_along``'s leaf-leaf group built from the rows of
-    ``align_global``, which ``Msa`` checks, joins and encodes again."""
-    pair = align_global(a, b, s)
-    return Msa((pair.row_a, pair.row_b))
-
-
 def _masked_operand(operand: Msa | Sequence, tie: TieBreak):
     if isinstance(operand, Msa):
         consensus = loop_consensus(string_profile_counts(operand), tie)
@@ -308,7 +301,8 @@ def row_merge_along(
     for step in merge_log:
         left, right = groups.pop(step.left), groups.pop(step.right)
         if isinstance(left, Sequence) and isinstance(right, Sequence):
-            merged = leaf_pair_group(left, right, s)
+            pair = align_global(left, right, s)
+            merged = Msa((pair.row_a, pair.row_b))
         else:
             if isinstance(left, Sequence):  # a group stays first when it meets a lone row
                 left, right = right, left

@@ -345,37 +345,18 @@ class TestGridDtype:
             ("AC", (1, -(2**15) + 1, 0), 4),  # difference 2**15
             ("A", (2**31 - 1, 0, 0), 4),
             ("A", (2**31, 0, 0), 8),
+            # Each symbol of a forms its own step row over a mixed b.
+            ("ACGTACGTAC", (3, 0, -1), 2),  # F bound 50
+            ("ACGTACGTAC", (2**12, 0, 0), 4),  # 10 * 2**12
+            ("ACGTACGTAC", (2**28, 0, 0), 8),  # 10 * 2**28
         ],
     )
     def test_grid_takes_the_narrowest_width_that_fits(self, a, scores, itemsize):
         s = ScoringScheme(*scores)
-        b = "A" * 40
+        b = "ACGTTGCAACGGATCCTAGA" * 2
         assert promsa.pairwise._fill(a, b, s).itemsize == itemsize
         assert align_strings(a, b, s) == scalar_align_strings(a, b, s)
         assert build_dp_matrix(a, b, s).cells == tuple(map(tuple, scalar_fill(a, b, s)))
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    @pytest.mark.parametrize(("scale", "itemsize"), [(1, 2), (2**12, 4), (2**27, 8)])
-    @given(
-        st.text("ACGT", min_size=10, max_size=40),
-        st.text("ACGT", min_size=31, max_size=50),
-        st.integers(1, 6),
-        st.integers(-6, 0),
-        st.integers(-6, -1),
-    )
-    def test_fill_equals_the_shifted_scalar_grid_at_each_width(
-        self, scale, itemsize, a, b, match, mismatch, gap
-    ):
-        # The F bound min(m, n) * (match - 2 * gap) is 30 to 720 times the
-        # scale, which picks the dtype whose scalars form each step row.
-        s = ScoringScheme(match * scale, mismatch * scale, gap * scale)
-        grid = promsa.pairwise._fill(a, b, s)
-        assert grid.itemsize == itemsize
-        expected = [
-            h - s.gap_penalty * (i + j)
-            for i, row in enumerate(scalar_fill(a, b, s)) for j, h in enumerate(row)
-        ]
-        assert grid.tolist() == expected
 
     def test_lane_keys_never_take_int16(self):
         # With every step 0 the scores alone would fit int16, but a key's

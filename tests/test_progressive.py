@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    leaf_pair_group,
-    random_dna,
-    random_merge_log,
-    row_merge_along,
-    setup1_sequences,
-)
+from helpers import random_dna, random_merge_log, row_merge_along, setup1_sequences
 from promsa import (
     Merge,
     Msa,
@@ -23,7 +17,6 @@ from promsa import (
     Sequence,
     TieBreak,
     align_global,
-    align_sequence_to_profile,
     nj_build,
     progressive_align,
     to_newick,
@@ -152,34 +145,6 @@ class TestMergeAlong:
         oracle = row_merge_along(seqs, log, s, TieBreak(mode, seed))
         assert msa == oracle and hash(msa) == hash(oracle)
         assert msa.rows == oracle.rows
-
-    @given(
-        st.lists(st.text("ACGT", min_size=1, max_size=30), min_size=3, max_size=3),
-        st.lists(st.sampled_from(["", "a description"]), min_size=3, max_size=3),
-        st.sampled_from([(3, 0, -1), (5, -4, -2), (1, 0, -3), (2, 1, -1)]),
-    )
-    def test_leaf_leaf_group_equals_the_one_built_from_its_rows(
-        self, residues, descriptions, scores
-    ):
-        # The join after a leaf-leaf join receives its group, which must be
-        # the alignment that Msa builds from align_global's two rows.
-        seqs = [Sequence(f"s{i}", r, d) for i, (r, d) in enumerate(zip(residues, descriptions))]
-        s = ScoringScheme(*scores)
-        log = (Merge(1, 0, 3, 0.0, 0.0, 0.0), Merge(3, 2, 4, 0.0, 0.0, 0.0))
-        groups = []
-
-        def spy(group, newcomer, *args):
-            groups.append(group)
-            return align_sequence_to_profile(group, newcomer, *args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(promsa.progressive, "align_sequence_to_profile", spy)
-            merge_along(seqs, log, s, TieBreak())
-        oracle = leaf_pair_group(seqs[1], seqs[0], s)
-        (group,) = groups
-        assert group == oracle and group.descriptions == oracle.descriptions
-        assert group.counts.tolist() == oracle.counts.tolist()
-        assert not group.codes.flags.writeable and group.rows == oracle.rows
 
     def test_merged_alignment_equals_the_one_built_from_its_rows(self):
         seqs = [Sequence(f"t{i + 1}", residues) for i, residues in enumerate(TIE_HEAVY)]

@@ -15,7 +15,7 @@ from helpers import (
     string_profile_counts,
 )
 from promsa import FastaError, Msa, Sequence, parse_fasta, write_fasta
-from promsa.sequences import _OFFSETS, SYMBOLS, verify_msa_against_inputs
+from promsa.sequences import SYMBOLS, verify_msa_against_inputs
 
 _HEADER = st.tuples(
     st.sampled_from(["s1", "s2", "s3", ""]), st.sampled_from(["", " desc", "\tcafé", "\x0bdesc"])
@@ -62,19 +62,17 @@ class TestSequence:
 
 @st.composite
 def code_blocks(draw):
-    """(ids, uint8 code block): depth 1-4, and a width of 1-40 or within 3
-    of the length of the count offsets row, above which a block forms its
-    own. Columns are drawn from SYMBOLS with gaps common, all-gap columns
-    get a letter back, and then an all-gap column, a code outside SYMBOLS
-    (in one row, or two), both or neither is put at a drawn place."""
+    """(ids, uint8 code block): depth 1-4 and width 1-40. Columns are drawn
+    from SYMBOLS with gaps common, all-gap columns get a letter back, and
+    then an all-gap column, a code outside SYMBOLS (in one row, or two),
+    both or neither is put at a drawn place, the last column often."""
     depth = draw(st.integers(1, 4))
-    width = draw(st.one_of(st.integers(1, 40), st.integers(len(_OFFSETS) - 3, len(_OFFSETS) + 3)))
+    width = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     codes = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)[
         rng.choice(len(SYMBOLS), size=(depth, width), p=[0.1, 0.1, 0.1, 0.1, 0.6])
     ]
     codes[0, (codes == ord("_")).all(axis=0)] = ord("A")
-    # The last column is past the offsets row whenever the block is wider.
     columns = st.one_of(st.just(width - 1), st.integers(0, width - 1))
     if draw(st.booleans()):
         codes[:, draw(columns)] = ord("_")
@@ -87,8 +85,7 @@ def code_blocks(draw):
 class TestMsa:
     @given(code_blocks())
     def test_build_equals_the_column_loop(self, block):
-        # Counts and both errors, on widths either side of where the block
-        # stops taking its offsets from the shared row.
+        # Counts, and which error comes first and what it says.
         ids, codes = block
         counts, message = column_loop_msa_check(ids, codes)
         if message is not None:
@@ -98,21 +95,6 @@ class TestMsa:
         msa = Msa._from_codes(ids, ("",) * len(ids), codes)
         assert msa.counts.tolist() == counts
         assert msa.counts.dtype == np.int64 and not msa.counts.flags.writeable
-
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_last_column_is_counted_and_checked_past_the_offsets_row(self, extra):
-        width = len(_OFFSETS) + extra
-        codes = np.frombuffer(b"ACGT_" * width, dtype=np.uint8)[:2 * width].reshape(2, width)
-        ids = ("a", "b")
-        counts, _ = column_loop_msa_check(ids, codes)
-        assert Msa._from_codes(ids, ("", ""), codes.copy()).counts.tolist() == counts
-        for last, message in ((b"__", f"column {width - 1} consists entirely of gaps"),
-                              (b"AN", "sequence 'b' contains invalid symbols: ['N']")):
-            block = codes.copy()
-            block[:, -1] = np.frombuffer(last, dtype=np.uint8)
-            assert column_loop_msa_check(ids, block) == (None, message)
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                Msa._from_codes(ids, ("", ""), block)
 
     def test_rectangular(self):
         msa = Msa((Sequence("a", "AC_T"), Sequence("b", "ACGT")))
