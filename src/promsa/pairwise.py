@@ -1,20 +1,27 @@
 """Needleman-Wunsch global alignment under a linear match/mismatch/gap scheme.
 
-Every function returns a value that depends on its arguments alone, and
-matrices are per-call values. ``align_strings`` keeps a bounded memo of
-recent (a, b, scheme) keys and their results, so a pair aligned twice,
-such as a distance-stage pair that a leaf-leaf merge joins again, is
-filled once. The memo is a ``functools.lru_cache``, whose bookkeeping is
-thread-safe, so any number of alignments may still run concurrently; two
-threads may fill the same new key at once, and both get the same result.
-Each pipeline run empties the memo as it starts, so a run in another
-thread may empty it mid-run, which costs that run its reuse, not its
-result.
+Every function returns a value that depends on its arguments alone.
+Outside a pipeline run each fill allocates its own grid. A run
+(``progressive_align``) enters ``grids_held``, inside which each thread
+holds one buffer that its numpy fills view their grids from: a grid
+``_fill`` returns there is valid until that thread's next fill, and the
+buffer is dropped when the run returns or raises. ``align_strings`` keeps
+a bounded memo of recent (a, b, scheme) keys and their results, so a pair
+aligned twice, such as a distance-stage pair that a leaf-leaf merge joins
+again, is filled once. The memo is a ``functools.lru_cache``, whose
+bookkeeping is thread-safe, so any number of alignments may still run
+concurrently; two threads may fill the same new key at once, and both get
+the same result. Each pipeline run empties the memo as it starts, so a run
+in another thread may empty it mid-run, which costs that run its reuse,
+not its result.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,6 +177,53 @@ def _grid_dtype(m: int, n: int, diag_match: int, diag_mismatch: int, shift: int 
     return np.int64
 
 
+class _HeldGrid(threading.local):
+    """A thread's ``grids_held`` depth and the grid buffer its scopes share."""
+
+    depth = 0
+    buffer: np.ndarray | None = None
+
+
+_held = _HeldGrid()
+
+
+@contextmanager
+def grids_held() -> Iterator[None]:
+    """Inside this scope the thread's numpy fills view their grids from one
+    held buffer instead of allocating each grid. Scopes nest and share the
+    buffer; the outermost drops it as it exits, whether or not its body
+    raised, so no buffer outlives a run."""
+    _held.depth += 1
+    try:
+        yield
+    finally:
+        _held.depth -= 1
+        if not _held.depth:
+            _held.buffer = None
+
+
+def _zero_bordered(rows: int, cols: int, dtype: type) -> np.ndarray:
+    """A rows x cols ``dtype`` grid whose first row and first column are zero.
+
+    Outside ``grids_held`` it is a fresh zeroed array. Inside, it views the
+    thread's held buffer, so its other cells keep whatever the last fill left
+    there: ``_fill``'s row loop writes every one of them. A buffer too small
+    is replaced by one whose bytes are the next power of two. Freed grids of
+    uneven sizes stay resident in the allocator, where a larger grid is then
+    mapped beside them; regrowing to each exact size made the long_pairs
+    benchmark's peak RSS higher, not lower.
+    """
+    if not _held.depth:
+        return np.zeros((rows, cols), dtype=dtype)
+    size = rows * cols * np.dtype(dtype).itemsize
+    if _held.buffer is None or _held.buffer.size < size:
+        _held.buffer = np.empty(1 << (size - 1).bit_length(), dtype=np.uint8)
+    grid = _held.buffer[:size].view(dtype).reshape(rows, cols)
+    grid[0] = 0
+    grid[:, 0] = 0
+    return grid
+
+
 def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     """The score grid on the shifted scale F[i][j] = H[i][j] - g*(i+j).
 
@@ -177,7 +231,9 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
     F[i-1][j-1] + s_ij - 2g, F[i-1][j] and F[i][j-1], so a whole row is one
     elementwise step followed by a running maximum. Returns the
     (len(a)+1) x (len(b)+1) grid flattened row by row; indexing it gives
-    plain ints. The caller checks the cell budget.
+    plain ints. Inside ``grids_held`` a numpy grid views the thread's held
+    buffer, so it is valid until the thread's next fill. The caller checks
+    the cell budget.
     """
     m, n = len(a), len(b)
     diag_match, diag_mismatch = _diag_steps(s)
@@ -188,7 +244,7 @@ def _fill(a: str, b: str, s: ScoringScheme) -> list[int] | memoryview:
         # with no wider temporary and no cast.
         match, mismatch = dtype(diag_match), dtype(diag_mismatch)
         steps = {x: np.where(codes == ord(x), match, mismatch) for x in set(a)}
-        grid = np.zeros((m + 1, n + 1), dtype=dtype)
+        grid = _zero_bordered(m + 1, n + 1, dtype)
         # Bound once: a lookup per row cost 5-10% of a 200 x 200 fill.
         add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
         # Each row's out is the next row's up, so zip makes two views a row.

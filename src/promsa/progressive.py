@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .distances import DistanceMatrix, pairwise_distance_matrix
 from .evaluate import sp_score, sp_total_cost
 from .guide_tree import GuideTree, Merge, nj_build, upgma_build
-from .pairwise import ScoringScheme, _memo_align, align_global
+from .pairwise import ScoringScheme, _memo_align, align_global, grids_held
 from .profiles import TieBreak, align_profile_to_profile, align_sequence_to_profile
 from .sequences import Msa, Sequence, check_raw_inputs
 
@@ -135,12 +135,15 @@ def progressive_align(
     # A run is timed on its own work, not on alignments an earlier run left.
     _memo_align.cache_clear()
     start_ns = time.monotonic_ns()
-    matrix, distance_end = _stage("distance", pairwise_distance_matrix, seqs, cfg.scoring)
-    build = upgma_build if cfg.guide_method == "upgma" else nj_build
-    tree, tree_end = _stage("tree", build, matrix)
-    alignment, merge_end = _stage(
-        "merge", merge_along, seqs, tree.merge_log, cfg.scoring, cfg.tie.fresh()
-    )
+    # One grid buffer serves every fill of the run, so a run's grids are
+    # never resident twice over; it is dropped as the block exits.
+    with grids_held():
+        matrix, distance_end = _stage("distance", pairwise_distance_matrix, seqs, cfg.scoring)
+        build = upgma_build if cfg.guide_method == "upgma" else nj_build
+        tree, tree_end = _stage("tree", build, matrix)
+        alignment, merge_end = _stage(
+            "merge", merge_along, seqs, tree.merge_log, cfg.scoring, cfg.tie.fresh()
+        )
     return PipelineReport(
         distance_matrix=matrix,
         guide_tree=tree,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,6 +34,7 @@ from promsa.pairwise import (
     _memo_align,
     batch_site_counts,
     expand_by_moves,
+    grids_held,
     site_counts,
 )
 
@@ -385,6 +386,86 @@ class TestGridDtype:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 2.25 * 801 * 801
+
+
+# Scores that make a numpy grid int16, int32 and int64 whatever the lengths:
+# the defaults hold any pair the tests below draw, and a mismatch step below
+# -2**15 or -2**31 (mismatch - 2 * gap) needs the wider type.
+HELD_SCORES = {2: (3, 0, -1), 4: (1, -(2**15) - 1, 0), 8: (1, -(2**31), 1)}
+
+
+class TestHeldGrids:
+    """Inside ``grids_held`` each thread's numpy fills view one held buffer,
+    which keeps what the last fill left; only its first row and column are
+    zeroed again."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text("ACGT", max_size=60),
+                st.text("ACGT", min_size=31, max_size=90),  # numpy rows
+                st.sampled_from(sorted(HELD_SCORES)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_held_fills_equal_fresh_fills_and_the_scalar_oracles(self, fills):
+        # Fills of any shapes and widths in any order: a smaller or narrower
+        # grid after a larger one reads a dirty buffer wherever the row loop
+        # does not write, so any leak into row 0 or column 0 shows.
+        expected = []
+        for a, b, itemsize in fills:
+            s = ScoringScheme(*HELD_SCORES[itemsize])
+            assert promsa.pairwise._fill(a, b, s).itemsize == itemsize
+            expected.append((scalar_fill(a, b, s), scalar_align_strings(a, b, s)))
+        outside = [self._results(a, b, ScoringScheme(*HELD_SCORES[k])) for a, b, k in fills]
+        with grids_held():
+            inside = [self._results(a, b, ScoringScheme(*HELD_SCORES[k])) for a, b, k in fills]
+        assert inside == outside
+        assert [(list(map(list, cells)), result) for cells, result in inside] == expected
+
+    @staticmethod
+    def _results(a, b, s):
+        _memo_align.cache_clear()  # so that align_strings fills its grid
+        return build_dp_matrix(a, b, s).cells, align_strings(a, b, s)
+
+    def test_nested_scopes_share_one_buffer_and_only_the_outermost_drops_it(self):
+        held = promsa.pairwise._held
+        a, b = "ACGT" * 20, "TTGCA" * 12
+        assert held.buffer is None
+        with grids_held():
+            grid = np.asarray(promsa.pairwise._fill(a, b, SETUP_SCHEME))
+            buffer = held.buffer
+            assert np.shares_memory(grid, buffer)
+            # int16 cells, grown to the next power of two of bytes.
+            assert buffer.size == 1 << (81 * 61 * 2 - 1).bit_length()
+            with grids_held():
+                assert np.shares_memory(np.asarray(promsa.pairwise._fill(b, a, SETUP_SCHEME)),
+                                        buffer)
+            assert held.buffer is buffer
+            # A grid over the buffer's bytes takes a new one.
+            promsa.pairwise._fill(a * 2, b, SETUP_SCHEME)
+            assert held.buffer.size == 2 * buffer.size
+        assert held.buffer is None
+
+    def test_the_outermost_scope_drops_the_buffer_when_its_body_raises(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with grids_held():
+                promsa.pairwise._fill("ACGT" * 20, "ACGT" * 20, SETUP_SCHEME)
+                assert promsa.pairwise._held.buffer is not None
+                raise RuntimeError("boom")
+        assert promsa.pairwise._held.buffer is None
+        assert promsa.pairwise._held.depth == 0
+
+    def test_fills_outside_a_scope_hold_nothing(self):
+        a, b = "ACGT" * 20, "TTGCA" * 12
+        _memo_align.cache_clear()
+        align_strings(a, b, SETUP_SCHEME)
+        build_dp_matrix(a, b, SETUP_SCHEME)
+        assert promsa.pairwise._held.buffer is None
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import re
+import sys
+import threading
 import warnings
 
 import pytest
@@ -346,6 +348,64 @@ class TestProgressiveAlign:
             )
         assert err.value.stage == stage
         assert isinstance(err.value.cause, ValueError)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_no_grid_buffer_outlives_a_run(self, monkeypatch, fail):
+        # Rows of 61 cells or more are filled with numpy, so the distance
+        # stage has filled into the held buffer when the tree stage starts.
+        rng = random.Random(86)
+        seqs = [Sequence(f"s{i}", random_dna(rng, 60, 90)) for i in range(5)]
+        held = []
+        build = promsa.progressive.upgma_build
+
+        def watched_build(matrix):
+            held.append(promsa.pairwise._held.buffer is not None)
+            if fail:
+                raise ValueError("boom")
+            return build(matrix)
+
+        monkeypatch.setattr(promsa.progressive, "upgma_build", watched_build)
+        if fail:
+            with pytest.raises(PipelineError, match="tree stage failed: boom"):
+                progressive_align(seqs, _config())
+        else:
+            progressive_align(seqs, _config())
+        assert held == [True]
+        assert promsa.pairwise._held.buffer is None
+        assert promsa.pairwise._held.depth == 0
+
+    def test_runs_in_two_threads_at_once_equal_serial_runs(self):
+        # Each thread fills into its own held buffer; a short switch
+        # interval makes the two threads' fills interleave.
+        rng = random.Random(87)
+        inputs = [[Sequence(f"s{i}", random_dna(rng, 20, 120)) for i in range(6)] for _ in range(4)]
+        jobs = [(seqs, method) for seqs in inputs for method in ("upgma", "nj")]
+
+        def run(job):
+            report = progressive_align(job[0], _config(job[1]))
+            return write_fasta(report.msa.rows), to_newick(report.guide_tree)
+
+        serial = [run(job) for job in jobs]
+        orders = (jobs, jobs[::-1])
+        results = [None, None]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def worker(k):
+            barrier.wait()
+            results[k] = [run(job) for job in orders[k]]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial, serial[::-1]]
 
     @pytest.mark.parametrize("method", ["upgma", "nj"])
     def test_saturated_pairs_align_without_warnings(self, method):

@@ -1,13 +1,14 @@
 """Print the guide-tree build time, the DP kernel's time and memory, the
-distance stage's time and memory, and the merge stage's time per join
-against n.
+distance stage's time and memory, the merge stage's time per join against
+n, and whole pipeline runs' stage times and memory on long and on many
+inputs.
 
 Usage: python tools/layer_timing.py
 
-Every cell of the four tables is timed best of five calls, taken in five
-rounds over every cell of its table. The script prints four Markdown
-tables, so the tree, kernel, distance and merge layers' cost can be
-compared across commits on one machine:
+Every cell of the first four tables is timed best of five calls, taken in
+five rounds over every cell of its table. The script prints five Markdown
+tables, so the tree, kernel, distance and merge layers' cost and a whole
+run's can be compared across commits on one machine:
 
 - Guide tree: for each n in 50, 100, 200, 400, 800 and 1000, n seeded
   random points in the unit cube give the distance matrix (their Euclidean
@@ -36,6 +37,15 @@ compared across commits on one machine:
   ``upgma_build`` and of ``nj_build`` on their distance matrix, with the
   memo emptied before each call so every leaf-leaf join fills its grid.
   The table gives the best time in µs per join, n - 1 joins a call.
+- Pipeline: ``progressive_align`` runs once per method, each run in a
+  child process of its own, on 5 seeded sequences of about L nt for L in
+  1000, 2000 and 4000 (copies of one root, each site redrawn with chance
+  0.1, plus three indels of 1-5 nt a copy), and on the merge table's
+  mutated 12-nt sets at n = 250, 500 and 1000. The table gives the run's
+  ``StageTimings`` as distance, tree and merge ms, and the rise of
+  ``ru_maxrss`` over the run in MB (2**20 bytes): on the long inputs the
+  DP grids set a run's memory, on the many short ones the guide tree sets
+  its time.
 
 The script takes no options and writes no file.
 """
@@ -57,6 +67,9 @@ TREE_SIZES = (50, 100, 200, 400, 800, 1000)
 KERNEL_SIZES = (100, 200, 400, 800, 1600)
 DISTANCE_SIZES = (250, 500, 1000, 2000)
 MERGE_SIZES = (25, 50, 100)
+# (input set, size) per pipeline column: lengths of long_set, counts of mutant_set.
+PIPELINE_INPUTS = (("long", 1000), ("long", 2000), ("long", 4000),
+                   ("many", 250), ("many", 500), ("many", 1000))
 REPEATS = 5
 
 
@@ -74,10 +87,11 @@ def best_ns(cells, run) -> dict:
     return best
 
 
-def table(title: str, sizes: tuple[int, ...], rows: dict) -> str:
-    """A Markdown table with a column per n in ``sizes`` and a row per label of ``rows``."""
+def table(title: str, sizes: tuple, rows: dict, corner: str = "n") -> str:
+    """A Markdown table with a column per entry of ``sizes``, under ``corner``,
+    and a row per label of ``rows``."""
     head = " | ".join(map(str, sizes))
-    lines = [title, "", f"| n | {head} |", "|---" * (len(sizes) + 1) + "|"]
+    lines = [title, "", f"| {corner} | {head} |", "|---" * (len(sizes) + 1) + "|"]
     lines += [f"| {label} | " + " | ".join(values) + " |" for label, values in rows.items()]
     return "\n".join(lines)
 
@@ -165,24 +179,28 @@ def distance_rise(n: int) -> int:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
 
 
-# A child process runs distance_rise(n) alone, so no other call's peak hides its own.
+# A child process runs one call alone, so no other call's peak hides its own.
 CHILD = (
-    "import sys; sys.path[:0] = sys.argv[1:3]; import layer_timing as t; "
-    "print(t.distance_rise(int(sys.argv[3])))"
+    "import ast, sys; sys.path[:0] = sys.argv[1:3]; import layer_timing as t; "
+    "print(getattr(t, sys.argv[3])(*map(ast.literal_eval, sys.argv[4:])))"
 )
+
+
+def in_child(name: str, *args) -> str:
+    """What ``name(*args)``, a function of this module, prints as its result
+    in a child process of its own; ``args`` are literals such as ints and
+    strings. Children run one at a time, and before this process builds any
+    input: see main."""
+    paths = [str(ROOT / "src"), str(ROOT / "tools")]
+    return subprocess.run([sys.executable, "-c", CHILD, *paths, name, *map(repr, args)],
+                          check=True, capture_output=True, text=True).stdout
 
 
 def distance_timing() -> str:
     """The distance-stage table; ``promsa`` must be importable."""
     from promsa import pairwise_distance_matrix
 
-    paths = [str(ROOT / "src"), str(ROOT / "tools")]
-    # Before this process builds any input: see main.
-    rises = {
-        n: int(subprocess.run([sys.executable, "-c", CHILD, *paths, str(n)], check=True,
-                              capture_output=True, text=True).stdout)
-        for n in DISTANCE_SIZES
-    }
+    rises = {n: int(in_child("distance_rise", n)) for n in DISTANCE_SIZES}
     sets = {n: dna_set(n) for n in DISTANCE_SIZES}
     best = best_ns(DISTANCE_SIZES, lambda n: pairwise_distance_matrix(sets[n]))
     rows = {
@@ -234,13 +252,74 @@ def merge_timing() -> str:
                  MERGE_SIZES, rows)
 
 
+def long_set(length: int) -> list:
+    """5 DNA ``Sequence``s of about ``length`` nt, seeded by it: copies of one
+    root, each site redrawn with chance 0.1, then three indels of 1-5 nt."""
+    from promsa import Sequence
+
+    rng = random.Random(length)
+    root = rng.choices("ACGT", k=length)
+    seqs = []
+    for i in range(5):
+        copy = [rng.choice("ACGT") if rng.random() < 0.1 else x for x in root]
+        for _ in range(3):
+            at, size = rng.randrange(len(copy)), rng.randint(1, 5)
+            if rng.random() < 0.5:
+                del copy[at : at + size]
+            else:
+                copy[at:at] = rng.choices("ACGT", k=size)
+        seqs.append(Sequence(f"s{i}", "".join(copy)))
+    return seqs
+
+
+def pipeline_run(inputs: str, size: int, method: str) -> str:
+    """One ``progressive_align`` run under ``method`` on ``long_set(size)``
+    (``inputs`` "long") or ``mutant_set(size)`` ("many"): its distance, tree
+    and merge ns and the bytes ``ru_maxrss`` rose by over the run in this
+    process, space-separated."""
+    from promsa import PipelineConfig, progressive_align
+
+    seqs = long_set(size) if inputs == "long" else mutant_set(size)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t = progressive_align(seqs, PipelineConfig(guide_method=method)).timings
+    rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+    return f"{t.distance_ns} {t.tree_ns} {t.merge_ns} {rise}"
+
+
+def pipeline_timing() -> str:
+    """The pipeline table; ``promsa`` must be importable."""
+    from promsa.progressive import GUIDE_METHODS
+
+    runs = {
+        (method, cell): [int(v) for v in in_child("pipeline_run", *cell, method).split()]
+        for cell in PIPELINE_INPUTS for method in GUIDE_METHODS
+    }
+    rows = {}
+    for method in GUIDE_METHODS:
+        for k, stage in enumerate(("distance", "tree", "merge")):
+            rows[f"{method} {stage} ms"] = [
+                f"{runs[method, cell][k] / 1e6:,.1f}" for cell in PIPELINE_INPUTS
+            ]
+        rows[f"{method} rise MB"] = [
+            f"{runs[method, cell][3] / 2**20:,.1f}" for cell in PIPELINE_INPUTS
+        ]
+    columns = tuple(
+        f"5 × {size:,} nt" if inputs == "long" else f"{size:,} × 12 nt"
+        for inputs, size in PIPELINE_INPUTS
+    )
+    return table("Pipeline, one `progressive_align` run per method in a child process: "
+                 "stage ms and `ru_maxrss` rise", columns, rows, corner="input")
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     # Linux starts a child's ru_maxrss at the peak RSS of the process that
-    # started it, so the distance table's children run before the other
-    # tables make this process large; started after them, they read 0.
+    # started it, so the pipeline table's children, then the distance
+    # table's, run before any table makes this process large; started after,
+    # they read 0. Only children run in pipeline_timing.
+    pipeline = pipeline_timing()
     distance = distance_timing()
-    print(tree_timing(), kernel_timing(), distance, merge_timing(), sep="\n\n")
+    print(tree_timing(), kernel_timing(), distance, merge_timing(), pipeline, sep="\n\n")
     return 0
 
 
